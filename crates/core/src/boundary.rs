@@ -566,44 +566,12 @@ impl<T: Real> BoundaryGrid<T> {
                     xfree.push(x[t]);
                 }
             }
-            acc += w * self.eval_face(face, k, &xfree);
+            // Zero-boundary sparse grid evaluation over the face's value
+            // slice (paper Alg. 7, applied to the face's sub-array).
+            let values = &self.values[face.offset as usize..];
+            acc += w * crate::evaluate::interpolate_point(values, self.indexer.levels, &xfree).0;
         }
         T::from_f64(acc)
-    }
-
-    /// Zero-boundary sparse grid evaluation over one face's value slice
-    /// (the inner loop of paper Alg. 7, applied to the face's sub-array).
-    fn eval_face(&self, face: &FaceInfo, k: usize, x: &[f64]) -> f64 {
-        let levels = self.indexer.levels;
-        let base = face.offset as usize;
-        let mut l = vec![0 as Level; k];
-        let mut res = 0.0f64;
-        let mut index2 = 0usize;
-        for n in 0..levels {
-            let sub_len = 1usize << n;
-            first_level(n, &mut l);
-            loop {
-                let mut prod = 1.0f64;
-                let mut index1 = 0u64;
-                for t in 0..k {
-                    let (c, b) = crate::evaluate::cell_and_basis(l[t], x[t]);
-                    if b == 0.0 {
-                        prod = 0.0;
-                        break;
-                    }
-                    index1 = (index1 << l[t] as u32) + c;
-                    prod *= b;
-                }
-                if prod != 0.0 {
-                    res += prod * self.values[base + index2 + index1 as usize].to_f64();
-                }
-                index2 += sub_len;
-                if !next_level(&mut l) {
-                    break;
-                }
-            }
-        }
-        res
     }
 }
 

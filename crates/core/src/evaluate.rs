@@ -26,6 +26,7 @@ use crate::plan::EvalPlan;
 use crate::real::Real;
 #[allow(unused_imports)] // the import is "unused" when `telemetry` is off
 use crate::tel;
+use std::cell::Cell;
 
 tel! {
     static EVAL_POINTS: sg_telemetry::Counter =
@@ -60,10 +61,10 @@ tel! {
 /// Per-dimension contribution at `x`: the in-subspace cell index and the
 /// hat value inside that cell (paper Alg. 7 lines 9–13).
 ///
-/// Public because every evaluation path in the workspace — capped grids,
-/// boundary faces, the GPU kernel simulator — must share this exact
-/// convention (cell tie-break at dyadic points included) to stay
-/// numerically identical.
+/// Public because every evaluation path in the workspace — boundary
+/// faces, the GPU kernel simulator — must share this exact convention
+/// (cell tie-break at dyadic points included) to stay numerically
+/// identical.
 #[inline(always)]
 pub fn cell_and_basis(l: Level, x: f64) -> (u64, f64) {
     let cells = 1u64 << l as u32;
@@ -73,6 +74,55 @@ pub fn cell_and_basis(l: Level, x: f64) -> (u64, f64) {
     (c, 1.0 - (2.0 * frac - 1.0).abs())
 }
 
+/// One subspace's term of the interpolant at `x` (paper Alg. 7 lines
+/// 8–15): the hat product over all dimensions times the single
+/// coefficient whose support contains `x`, or `None` when `x` lies
+/// outside every support of the subspace. `index2` is the subspace's
+/// offset into `values`.
+///
+/// This is the one scalar basis-product loop: single-point, blocked,
+/// SIMD-remainder and boundary-face evaluation all go through it, so
+/// they agree bitwise by construction.
+#[inline(always)]
+fn subspace_term<T: Real>(values: &[T], index2: usize, l: &[Level], x: &[f64]) -> Option<f64> {
+    let mut prod = 1.0f64;
+    let mut index1 = 0u64;
+    for (&lt, &xt) in l.iter().zip(x) {
+        let (c, b) = cell_and_basis(lt, xt);
+        if b == 0.0 {
+            return None;
+        }
+        index1 = (index1 << lt as u32) + c;
+        prod *= b;
+    }
+    (prod != 0.0).then(|| prod * values[index2 + index1 as usize].to_f64())
+}
+
+/// Interpolate at one point by walking every subspace of a zero-boundary
+/// grid with `levels` level groups in `x.len()` dimensions, whose
+/// coefficients start at `values[0]` (paper Alg. 7). Returns the value
+/// and the number of coefficient reads (non-zero basis products).
+pub(crate) fn interpolate_point<T: Real>(values: &[T], levels: usize, x: &[f64]) -> (f64, u64) {
+    let mut l = vec![0 as Level; x.len()];
+    let mut res = 0.0f64;
+    let mut reads = 0u64;
+    let mut index2 = 0usize; // running subspace offset (index2 + index3)
+    for n in 0..levels {
+        crate::iter::first_level(n, &mut l);
+        loop {
+            if let Some(term) = subspace_term(values, index2, &l, x) {
+                res += term;
+                reads += 1;
+            }
+            index2 += 1usize << n;
+            if !crate::iter::next_level(&mut l) {
+                break;
+            }
+        }
+    }
+    (res, reads)
+}
+
 /// Evaluate the sparse grid function at one point `x ∈ [0,1]^d`.
 ///
 /// # Panics
@@ -80,51 +130,21 @@ pub fn cell_and_basis(l: Level, x: f64) -> (u64, f64) {
 /// outside `[0, 1]`.
 pub fn evaluate<T: Real>(grid: &CompactGrid<T>, x: &[f64]) -> T {
     let spec = grid.spec();
-    let d = spec.dim();
-    assert_eq!(x.len(), d, "query point dimension mismatch");
+    assert_eq!(x.len(), spec.dim(), "query point dimension mismatch");
     assert!(
         x.iter().all(|&v| (0.0..=1.0).contains(&v)),
         "query point outside the unit domain"
     );
-    let values = grid.values();
-    let mut l = vec![0 as Level; d];
-    let mut res = 0.0f64;
-    let mut index2 = 0usize; // running subspace offset (index2 + index3)
+    let (res, reads) = interpolate_point(grid.values(), spec.levels(), x);
     tel! {
-        let mut walks = 0u64;
-        let mut reads = 0u64;
-    }
-    for n in 0..spec.levels() {
-        let sub_len = 1usize << n;
-        crate::iter::first_level(n, &mut l);
-        loop {
-            let mut prod = 1.0f64;
-            let mut index1 = 0u64;
-            for t in 0..d {
-                let (c, b) = cell_and_basis(l[t], x[t]);
-                if b == 0.0 {
-                    prod = 0.0;
-                    break;
-                }
-                index1 = (index1 << l[t] as u32) + c;
-                prod *= b;
-            }
-            if prod != 0.0 {
-                res += prod * values[index2 + index1 as usize].to_f64();
-                tel! { reads += 1; }
-            }
-            index2 += sub_len;
-            tel! { walks += 1; }
-            if !crate::iter::next_level(&mut l) {
-                break;
-            }
-        }
-    }
-    tel! {
+        let walks: u64 = (0..spec.levels())
+            .map(|n| crate::combinatorics::subspace_count(spec.dim(), n))
+            .sum();
         EVAL_POINTS.add(1);
         SUBSPACE_WALKS.add(walks);
         COEFF_BYTES.add(reads * T::size_bytes() as u64);
     }
+    let _ = reads;
     T::from_f64(res)
 }
 
@@ -141,82 +161,67 @@ pub fn evaluate_batch<T: Real>(grid: &CompactGrid<T>, xs: &[f64]) -> Vec<T> {
 /// Blocked batch evaluation (paper §4.3): process `block` query points per
 /// subspace sweep, so each subspace's coefficient chunk — fetched once —
 /// serves the whole block from cache. Builds the subspace plan once and
-/// delegates to [`evaluate_batch_blocked_with_plan`].
+/// delegates to [`evaluate_batch_blocked_into`].
 pub fn evaluate_batch_blocked<T: Real>(grid: &CompactGrid<T>, xs: &[f64], block: usize) -> Vec<T> {
-    let plan = EvalPlan::new(grid.spec());
-    evaluate_batch_blocked_with_plan(grid, xs, block, &plan)
+    evaluate_batch_blocked_with_plan(grid, xs, block, &EvalPlan::new(grid.spec()))
 }
 
-/// Blocked batch evaluation against a caller-supplied [`EvalPlan`]
-/// (built once per batch; the parallel path shares one plan across all
-/// pool workers). The inner per-subspace loop runs on the kernel chosen
-/// by [`crate::kernel::active`].
-///
-/// # Panics
-/// If the plan was built for a different dimensionality, `xs.len()` is
-/// not a multiple of `d`, `block` is zero, or a coordinate is outside
-/// `[0, 1]`.
+/// [`evaluate_batch_blocked`] against a caller-supplied [`EvalPlan`],
+/// returning a fresh output vector (see [`evaluate_batch_blocked_into`]).
 pub fn evaluate_batch_blocked_with_plan<T: Real>(
     grid: &CompactGrid<T>,
     xs: &[f64],
     block: usize,
     plan: &EvalPlan,
 ) -> Vec<T> {
-    let k = if grid.spec().dim() == 0 {
-        0
-    } else {
-        xs.len() / grid.spec().dim()
-    };
-    let mut out = vec![T::ZERO; k];
-    let mut scratch = EvalScratch::new();
-    evaluate_batch_blocked_into(grid, xs, block, plan, &mut out, &mut scratch);
+    let mut out = vec![T::ZERO; xs.len() / grid.spec().dim()];
+    evaluate_batch_blocked_into(grid, xs, block, plan, &mut out);
     out
 }
 
-/// Reusable accumulator/transpose buffers for
-/// [`evaluate_batch_blocked_into`]. Holding one of these across calls
-/// (e.g. per server connection, ffsvm's `Problem` idiom) makes repeated
-/// batch evaluations allocation-free once the buffers have grown to the
-/// steady-state batch shape.
-#[derive(Debug, Default)]
-pub struct EvalScratch {
+/// Parallel batch evaluation (see [`evaluate_batch_parallel_into`]):
+/// builds the subspace plan once and returns a fresh output vector.
+pub fn evaluate_batch_parallel<T: Real>(grid: &CompactGrid<T>, xs: &[f64], block: usize) -> Vec<T> {
+    let mut out = vec![T::ZERO; xs.len() / grid.spec().dim()];
+    evaluate_batch_parallel_into(grid, xs, block, &EvalPlan::new(grid.spec()), &mut out);
+    out
+}
+
+/// Per-thread block buffers of the batch cores, grown to the largest
+/// shape the thread has evaluated and reused afterwards — which keeps
+/// repeated batch evaluation (the serving path included) allocation-free
+/// in steady state, on the calling thread and on every pool worker.
+#[derive(Default)]
+struct BlockScratch {
     /// Per-block f64 accumulators (`block` entries).
     acc: Vec<f64>,
     /// SoA coordinate transpose the SIMD kernels read (`block · d`).
     soa: Vec<f64>,
 }
 
-impl EvalScratch {
-    /// Fresh, empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Scratch pre-sized for `block`-point blocks in `dim` dimensions,
-    /// so even the first evaluation allocates nothing.
-    pub fn with_capacity(block: usize, dim: usize) -> Self {
-        Self {
-            acc: vec![0.0; block],
-            soa: vec![0.0; block * dim],
-        }
-    }
+thread_local! {
+    static SCRATCH: Cell<BlockScratch> = const {
+        Cell::new(BlockScratch { acc: Vec::new(), soa: Vec::new() })
+    };
 }
 
-/// [`evaluate_batch_blocked_with_plan`] writing into a caller-owned
-/// output slice with caller-owned [`EvalScratch`]: the allocation-free
-/// core of the serving request path. Bitwise identical to the scalar
-/// reference (same kernels, same order of operations).
+/// The blocked batch core, on the current thread: evaluates the
+/// row-major points `xs` into `out` block by block against a
+/// caller-supplied [`EvalPlan`] (built once per batch and shareable
+/// across threads). The inner per-subspace loop runs on the kernel
+/// chosen by [`crate::kernel::active`]; every kernel is bitwise
+/// identical to the scalar reference [`evaluate_batch`].
 ///
 /// # Panics
-/// In addition to the [`evaluate_batch_blocked_with_plan`] conditions,
-/// panics if `out.len()` is not exactly the number of query points.
+/// If the plan was built for a different dimensionality, `xs.len()` is
+/// not a multiple of `d`, `block` is zero, a coordinate is outside
+/// `[0, 1]`, or `out.len()` is not exactly the number of query points.
 pub fn evaluate_batch_blocked_into<T: Real>(
     grid: &CompactGrid<T>,
     xs: &[f64],
     block: usize,
     plan: &EvalPlan,
     out: &mut [T],
-    ws: &mut EvalScratch,
 ) {
     let spec = grid.spec();
     let d = spec.dim();
@@ -232,6 +237,9 @@ pub fn evaluate_batch_blocked_into<T: Real>(
     let values = grid.values();
     let kind = kernel::active();
     let values_f64 = T::as_f64_slice(values);
+    // Borrow this thread's scratch for the call (taking an empty one in
+    // its place allocates nothing) and hand it back at the end.
+    let mut ws = SCRATCH.take();
     ws.acc.clear();
     ws.acc.resize(block.min(k), 0.0);
     let acc = &mut ws.acc;
@@ -300,12 +308,46 @@ pub fn evaluate_batch_blocked_into<T: Real>(
         SUBSPACE_WALKS.add(walks);
         COEFF_BYTES.add(reads * T::size_bytes() as u64);
     }
+    SCRATCH.set(ws);
+}
+
+/// The parallel batch core: static decomposition of the query points
+/// over the sg-par pool (the paper's GPU scheme: one thread per
+/// interpolation point), blocked within each claim. `block` is rounded
+/// up to whole SIMD lane groups, the pool claims one block at a time
+/// (per-point cost varies with the basis-function path length, so the
+/// pool balances dynamically), and every claim runs
+/// [`evaluate_batch_blocked_into`] against the one shared plan on the
+/// claiming worker's scratch. Chunking is bitwise-neutral: every point
+/// is independent.
+///
+/// # Panics
+/// Under the same conditions as [`evaluate_batch_blocked_into`], except
+/// that a zero `block` is rounded up to one lane group.
+pub fn evaluate_batch_parallel_into<T: Real>(
+    grid: &CompactGrid<T>,
+    xs: &[f64],
+    block: usize,
+    plan: &EvalPlan,
+    out: &mut [T],
+) {
+    let d = grid.spec().dim();
+    assert_eq!(xs.len() % d, 0, "flat point array length must be k·d");
+    assert_eq!(
+        out.len(),
+        xs.len() / d,
+        "output slice length must match point count"
+    );
+    let block = sg_par::lane_aligned(block, kernel::active().lanes());
+    sg_par::par_chunks_mut_grained(out, block, 1, "core.evaluate.batch", None, |ci, out| {
+        let xs = &xs[ci * block * d..][..out.len() * d];
+        evaluate_batch_blocked_into(grid, xs, block, plan, out);
+    });
 }
 
 /// Scalar per-block kernel over the plan entries `entries`:
-/// subspace-outer, point-inner, exactly the historical blocked loop.
-/// Returns the number of coefficient reads (non-zero basis products)
-/// for the traffic counter.
+/// subspace-outer, point-inner. Returns the number of coefficient reads
+/// (non-zero basis products) for the traffic counter.
 fn eval_block_scalar<T: Real>(
     values: &[T],
     plan: &EvalPlan,
@@ -314,58 +356,30 @@ fn eval_block_scalar<T: Real>(
     d: usize,
     acc: &mut [f64],
 ) -> u64 {
-    let mut reads = 0u64;
-    for e in entries {
-        let (l, index2) = plan.entry(e);
-        for (a, x) in acc.iter_mut().zip(xs.chunks_exact(d)) {
-            let mut prod = 1.0f64;
-            let mut index1 = 0u64;
-            for t in 0..d {
-                let (c, b) = cell_and_basis(l[t], x[t]);
-                if b == 0.0 {
-                    prod = 0.0;
-                    break;
-                }
-                index1 = (index1 << l[t] as u32) + c;
-                prod *= b;
-            }
-            if prod != 0.0 {
-                *a += prod * values[index2 + index1 as usize].to_f64();
-                reads += 1;
-            }
-        }
-    }
-    reads
+    entries
+        .map(|e| {
+            let (l, index2) = plan.entry(e);
+            eval_entry_scalar(values, index2, l, xs, d, acc)
+        })
+        .sum()
 }
 
-/// Scalar tail for the SIMD kernels: points `from..` of the block
-/// against one subspace entry, identical to [`eval_block_scalar`]'s
-/// inner loop.
+/// Every point of the row-major `xs` (`acc.len()` of them) against one
+/// subspace entry. Also the SIMD kernels' remainder path, which hands
+/// it the points past the last full lane group.
 #[inline(always)]
-fn eval_tail_scalar(
-    values: &[f64],
-    l: &[Level],
+fn eval_entry_scalar<T: Real>(
+    values: &[T],
     index2: usize,
+    l: &[Level],
     xs: &[f64],
     d: usize,
     acc: &mut [f64],
-    from: usize,
 ) -> u64 {
     let mut reads = 0u64;
-    for (a, x) in acc[from..].iter_mut().zip(xs[from * d..].chunks_exact(d)) {
-        let mut prod = 1.0f64;
-        let mut index1 = 0u64;
-        for t in 0..d {
-            let (c, b) = cell_and_basis(l[t], x[t]);
-            if b == 0.0 {
-                prod = 0.0;
-                break;
-            }
-            index1 = (index1 << l[t] as u32) + c;
-            prod *= b;
-        }
-        if prod != 0.0 {
-            *a += prod * values[index2 + index1 as usize];
+    for (a, x) in acc.iter_mut().zip(xs.chunks_exact(d)) {
+        if let Some(term) = subspace_term(values, index2, l, x) {
+            *a += term;
             reads += 1;
         }
     }
@@ -430,7 +444,7 @@ fn eval_block_simd(
 /// * products and accumulations use separate mul/add, never FMA.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{eval_tail_scalar, EvalPlan};
+    use super::{eval_entry_scalar, EvalPlan};
 
     /// # Safety
     /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
@@ -493,7 +507,7 @@ mod avx2 {
                 }
                 j += 4;
             }
-            reads += eval_tail_scalar(values, l, index2, xs, d, acc, vec_k);
+            reads += eval_entry_scalar(values, index2, l, &xs[vec_k * d..], d, &mut acc[vec_k..]);
         }
         reads
     }
@@ -505,7 +519,7 @@ mod avx2 {
 /// contract as the AVX2 kernel.
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{eval_tail_scalar, EvalPlan};
+    use super::{eval_entry_scalar, EvalPlan};
 
     /// # Safety
     /// NEON is part of the aarch64 baseline; `resolve` never selects it
@@ -562,33 +576,10 @@ mod neon {
                 }
                 j += 2;
             }
-            reads += eval_tail_scalar(values, l, index2, xs, d, acc, vec_k);
+            reads += eval_entry_scalar(values, index2, l, &xs[vec_k * d..], d, &mut acc[vec_k..]);
         }
         reads
     }
-}
-
-/// Parallel batch evaluation: static decomposition of the query points
-/// over threads (the paper's GPU scheme: one thread per interpolation
-/// point), blocked within each thread's chunk. The claim granularity is
-/// rounded up to whole SIMD lane groups, and one [`EvalPlan`] is shared
-/// by every pool worker.
-pub fn evaluate_batch_parallel<T: Real>(grid: &CompactGrid<T>, xs: &[f64], block: usize) -> Vec<T> {
-    let d = grid.spec().dim();
-    assert_eq!(xs.len() % d, 0, "flat point array length must be k·d");
-    let block = sg_par::lane_aligned(block, kernel::active().lanes());
-    let plan = &EvalPlan::new(grid.spec());
-    let chunk = block * d;
-    let n_chunks = xs.len().div_ceil(chunk);
-    // Per-point cost varies with the basis-function path length, so
-    // claim one block at a time and let the pool balance dynamically.
-    sg_par::par_map_indexed_grained(n_chunks, 1, "core.evaluate.batch", None, |k| {
-        let sub = &xs[k * chunk..((k + 1) * chunk).min(xs.len())];
-        evaluate_batch_blocked_with_plan(grid, sub, block, plan)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 #[cfg(test)]
@@ -753,6 +744,51 @@ mod tests {
     }
 
     #[test]
+    fn per_thread_scratch_is_reused_across_shapes() {
+        // Both batch cores share one scratch per thread. Interleave
+        // shapes that grow and shrink it (d=5 with 64-point blocks, d=2
+        // with 3-point blocks, back to d=5, then an f32 grid) and check
+        // every answer bitwise against the per-point reference.
+        fn check<T: Real>(g: &CompactGrid<T>, xs: &[f64], block: usize) {
+            let reference = evaluate_batch(g, xs);
+            let plan = EvalPlan::new(g.spec());
+            let mut blocked = vec![T::ZERO; reference.len()];
+            let mut parallel = vec![T::ZERO; reference.len()];
+            evaluate_batch_blocked_into(g, xs, block, &plan, &mut blocked);
+            evaluate_batch_parallel_into(g, xs, block, &plan, &mut parallel);
+            for (q, r) in reference.iter().enumerate() {
+                let (d, want) = (g.spec().dim(), r.to_f64().to_bits());
+                assert_eq!(
+                    blocked[q].to_f64().to_bits(),
+                    want,
+                    "blocked d={d} query {q}"
+                );
+                assert_eq!(
+                    parallel[q].to_f64().to_bits(),
+                    want,
+                    "parallel d={d} query {q}"
+                );
+            }
+        }
+        let points = |d: usize, k: usize| -> Vec<f64> {
+            (0..k * d)
+                .map(|i| ((i * 61) % 127) as f64 / 127.0)
+                .collect()
+        };
+        let g5 = surplus_grid(GridSpec::new(5, 4), |x| x.iter().sum::<f64>().sin());
+        let g2 = surplus_grid(GridSpec::new(2, 5), |x| x[0] * x[1] + x[1]);
+        let mut g32: CompactGrid<f32> =
+            CompactGrid::from_fn(GridSpec::new(3, 4), |x| (x[0] - x[1] * x[2]) as f32);
+        hierarchize(&mut g32);
+        let (x5, x2, x3) = (points(5, 150), points(2, 37), points(3, 41));
+        check(&g5, &x5, 64);
+        check(&g2, &x2, 3);
+        check(&g5, &x5, 64);
+        check(&g32, &x3, 7);
+        check(&g2, &x2, 3);
+    }
+
+    #[test]
     fn f32_grids_use_the_generic_path_and_stay_consistent() {
         let spec = GridSpec::new(2, 4);
         let mut g: CompactGrid<f32> = CompactGrid::from_fn(spec, |x| (x[0] + x[1]) as f32);
@@ -800,24 +836,5 @@ mod tests {
         let (c, b) = cell_and_basis(1, 0.5); // cell boundary
         assert!(c == 1 || c == 0);
         assert_eq!(b, 0.0);
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn subspace_walks_count_blocks_not_points() {
-        // 33 points in blocks of 8 → 5 blocks; the walk counter must
-        // advance once per (block, subspace), not once per point, and
-        // the plan must be built exactly once per batch call.
-        let spec = GridSpec::new(3, 4);
-        let g = surplus_grid(spec, |x| x[0] + x[1] + x[2]);
-        let pts: Vec<f64> = (0..99).map(|k| ((k * 43) % 103) as f64 / 103.0).collect();
-        let subspaces = EvalPlan::new(&spec).num_subspaces() as u64;
-        let counter = |name: &str| sg_telemetry::snapshot().counter(name).unwrap_or(0);
-        let walks0 = counter("core.evaluate.subspace_walks");
-        let plans0 = counter("core.evaluate.plan_builds");
-        evaluate_batch_blocked(&g, &pts, 8);
-        let walked = counter("core.evaluate.subspace_walks") - walks0;
-        assert_eq!(walked, 5 * subspaces, "blocks × subspaces, not points");
-        assert_eq!(counter("core.evaluate.plan_builds") - plans0, 1);
     }
 }

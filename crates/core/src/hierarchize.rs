@@ -137,8 +137,11 @@ fn stencil_run<T: Real>(
 
 /// Apply the dimension-`t` stencil to one subspace chunk, run by run.
 /// `lower` is the array prefix below the chunk's level group — every
-/// ancestor lives there, so the borrow is disjoint from `chunk` in both
-/// the sequential and the pool-distributed sweeps.
+/// ancestor lives there, so the borrow is disjoint from `chunk` under
+/// both sweep drivers. Inlined into each driver: as an out-of-line call,
+/// the pooled d=10 level-7 sweep ran ~25% slower in telemetry builds on
+/// a 2-vCPU x86-64 host.
+#[inline(always)]
 fn sweep_subspace<T: Real>(
     kind: KernelKind,
     lower: &[T],
@@ -148,6 +151,11 @@ fn sweep_subspace<T: Real>(
     t: usize,
     add: bool,
 ) {
+    // Subspaces with l[t] = 0 have both ancestors on the domain
+    // boundary: the stencil is a no-op, skip them.
+    if l[t] == 0 {
+        return;
+    }
     crate::plan::for_each_pole_run(indexer, l, t, |run| {
         let out = &mut chunk[run.rank0..run.rank0 + run.len];
         let left = run.left.map(|b| &lower[b..b + run.len]);
@@ -156,84 +164,12 @@ fn sweep_subspace<T: Real>(
     });
 }
 
-/// Shared body of the sequential sweeps: `add = false` hierarchizes
-/// (groups descending), `add = true` dehierarchizes (groups ascending —
-/// ancestors are already updated and live in the coarser prefix either
-/// way, so the same split borrow serves both directions).
-fn sweep_sequential<T: Real>(grid: &mut CompactGrid<T>, add: bool) {
-    let spec = *grid.spec();
-    let d = spec.dim();
-    let kind = kernel::active();
-    let (indexer, values) = {
-        let ix = grid.indexer().clone();
-        (ix, grid.values_mut())
-    };
-    let mut l = vec![0 as Level; d];
-    let dims: Box<dyn Iterator<Item = usize>> = if add {
-        Box::new((0..d).rev())
-    } else {
-        Box::new(0..d)
-    };
-    for t in dims {
-        let groups: Box<dyn Iterator<Item = usize>> = if add {
-            Box::new(0..spec.levels())
-        } else {
-            Box::new((0..spec.levels()).rev())
-        };
-        for n in groups {
-            tel! {
-                let sweep_t0 = std::time::Instant::now();
-                let mut touched = 0u64;
-            }
-            let group_start = indexer.group_offset(n) as usize;
-            let group_end = indexer.group_range(n).end as usize;
-            let (lower, rest) = values.split_at_mut(group_start);
-            let group = &mut rest[..group_end - group_start];
-            let sub_len = 1usize << n;
-            let mut sub = 0usize;
-            crate::iter::first_level(n, &mut l);
-            loop {
-                // Subspaces with l[t] = 0 have both ancestors on the
-                // domain boundary: the stencil is a no-op, skip them.
-                if l[t] != 0 {
-                    sweep_subspace(
-                        kind,
-                        lower,
-                        &mut group[sub..sub + sub_len],
-                        &indexer,
-                        &l,
-                        t,
-                        add,
-                    );
-                    tel! { touched += sub_len as u64; }
-                }
-                sub += sub_len;
-                if !crate::iter::next_level(&mut l) {
-                    break;
-                }
-            }
-            tel! {
-                let sweep_ns = sweep_t0.elapsed().as_nanos() as u64;
-                if add {
-                    DEHIER_SWEEP.record(sweep_ns);
-                    DEHIER_SWEEP_NS.record(sweep_ns);
-                } else {
-                    GROUP_SWEEP[n].record(sweep_ns);
-                    SWEEP_NS.record(sweep_ns);
-                    BYTES_MOVED.add(touched * 4 * T::size_bytes() as u64);
-                }
-                let _ = touched;
-            }
-        }
-    }
-}
-
 /// In-place hierarchization, sequential (optimized traversal of Alg. 6:
 /// level groups descending, subspaces via the `next` iterator, the 1-d
 /// stencil applied as vertical pole runs — no per-point `idx2gp` or
 /// `gp2idx` calls).
 pub fn hierarchize<T: Real>(grid: &mut CompactGrid<T>) {
-    sweep_sequential(grid, false);
+    sweep(grid, false, false);
 }
 
 /// In-place hierarchization transcribed literally from paper Alg. 6:
@@ -257,9 +193,15 @@ pub fn hierarchize_alg6_literal<T: Real>(grid: &mut CompactGrid<T>) {
     }
 }
 
-/// Shared body of the pool-distributed sweeps (see [`sweep_sequential`]
-/// for the direction logic).
-fn sweep_parallel<T: Real>(grid: &mut CompactGrid<T>, add: bool) {
+/// The one sweep body behind every (de)hierarchization entry point:
+/// `add = false` hierarchizes (dimensions ascending, groups descending),
+/// `add = true` dehierarchizes (dimensions descending, groups ascending).
+/// Ancestors are already updated and live in the coarser prefix either
+/// way, so the same split borrow serves both directions. `pooled` picks
+/// the driver over a group's subspaces: the sg-par pool, or a plain loop
+/// on the calling thread (the sequential baseline the parallel
+/// efficiency is measured against).
+fn sweep<T: Real>(grid: &mut CompactGrid<T>, add: bool, pooled: bool) {
     let spec = *grid.spec();
     let d = spec.dim();
     let kind = kernel::active();
@@ -297,25 +239,26 @@ fn sweep_parallel<T: Real>(grid: &mut CompactGrid<T>, add: bool) {
             let sub_len = 1usize << n;
             let levels = &group_levels[n];
             let indexer = &indexer;
-            // Subspaces of fine groups are tiny (2^n points): hand the
-            // pool ~4096 points per claim so the shared-index atomic is
-            // amortized, while coarse groups still claim subspace-wise.
-            // Claims are whole subspaces, which keeps every pole run —
-            // hence every SIMD lane group — within one worker.
-            sg_par::par_chunks_mut_grained(
-                group,
-                sub_len,
-                (4096usize >> n).max(1),
-                region,
-                Some(("group", n as u64)),
-                |k, chunk| {
-                    let l0 = &levels[k];
-                    if l0[t] == 0 {
-                        return;
-                    }
-                    sweep_subspace(kind, lower, chunk, indexer, l0, t, add);
-                },
-            );
+            if pooled {
+                // Subspaces of fine groups are tiny (2^n points): hand the
+                // pool ~4096 points per claim so the shared-index atomic
+                // is amortized, while coarse groups still claim
+                // subspace-wise. Claims are whole subspaces, which keeps
+                // every pole run — hence every SIMD lane group — within
+                // one worker.
+                sg_par::par_chunks_mut_grained(
+                    group,
+                    sub_len,
+                    (4096usize >> n).max(1),
+                    region,
+                    Some(("group", n as u64)),
+                    |k, chunk| sweep_subspace(kind, lower, chunk, indexer, &levels[k], t, add),
+                );
+            } else {
+                for (k, chunk) in group.chunks_mut(sub_len).enumerate() {
+                    sweep_subspace(kind, lower, chunk, indexer, &levels[k], t, add);
+                }
+            }
             tel! {
                 let sweep_ns = sweep_t0.elapsed().as_nanos() as u64;
                 if add {
@@ -338,21 +281,21 @@ fn sweep_parallel<T: Real>(grid: &mut CompactGrid<T>, add: bool) {
 /// realization of the per-group kernel launches); inside a group,
 /// subspaces are distributed statically over threads.
 pub fn hierarchize_parallel<T: Real>(grid: &mut CompactGrid<T>) {
-    sweep_parallel(grid, false);
+    sweep(grid, false, true);
 }
 
 /// In-place dehierarchization (decompression of the coefficient array back
 /// to nodal values) — the exact inverse of [`hierarchize`]: per dimension,
 /// level groups coarsest-to-finest, adding the ancestor half-sum.
 pub fn dehierarchize<T: Real>(grid: &mut CompactGrid<T>) {
-    sweep_sequential(grid, true);
+    sweep(grid, true, false);
 }
 
 /// Parallel dehierarchization: mirror image of [`hierarchize_parallel`]
 /// (groups ascending; ancestors are *already updated* and still live in
 /// the coarser prefix of the array, so the same split-borrow works).
 pub fn dehierarchize_parallel<T: Real>(grid: &mut CompactGrid<T>) {
-    sweep_parallel(grid, true);
+    sweep(grid, true, true);
 }
 
 #[cfg(test)]

@@ -191,6 +191,11 @@ fn decode(v: u8) -> Option<KernelSelect> {
 /// `sg-par` pool, which read it through the same atomic.
 pub fn with_kernel<R>(sel: KernelSelect, f: impl FnOnce() -> R) -> R {
     let _guard = SELECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    override_scope(sel, f)
+}
+
+/// The body of [`with_kernel`]; the caller holds `SELECT_LOCK`.
+fn override_scope<R>(sel: KernelSelect, f: impl FnOnce() -> R) -> R {
     struct Restore(u8);
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -419,8 +424,12 @@ mod tests {
 
     #[test]
     fn override_scopes_nest_and_restore() {
+        // Hold the scope lock throughout, so a concurrently running
+        // test's `with_kernel` scope cannot change the selection between
+        // the reads below.
+        let _guard = SELECT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let before = resolve().unwrap();
-        let inner = with_kernel(KernelSelect::Force(KernelKind::Scalar), || {
+        let inner = override_scope(KernelSelect::Force(KernelKind::Scalar), || {
             resolve().unwrap()
         });
         assert_eq!(inner, KernelKind::Scalar);

@@ -57,7 +57,6 @@ pub(crate) use tel;
 
 pub mod bijection;
 pub mod boundary;
-pub mod capped;
 pub mod combinatorics;
 pub mod error;
 pub mod evaluate;
@@ -79,7 +78,7 @@ pub mod prelude {
     pub use crate::error::SgError;
     pub use crate::evaluate::{
         evaluate, evaluate_batch, evaluate_batch_blocked, evaluate_batch_blocked_into,
-        evaluate_batch_blocked_with_plan, evaluate_batch_parallel, EvalScratch,
+        evaluate_batch_blocked_with_plan, evaluate_batch_parallel, evaluate_batch_parallel_into,
     };
     pub use crate::full_grid::FullGrid;
     pub use crate::functions::{halton_points, TestFunction};
@@ -90,6 +89,6 @@ pub mod prelude {
     pub use crate::kernel::{KernelKind, KernelSelect};
     pub use crate::level::{GridPoint, GridSpec};
     pub use crate::plan::EvalPlan;
-    pub use crate::quadrature::{evaluate_with_gradient, integrate};
+    pub use crate::quadrature::integrate;
     pub use crate::real::Real;
 }

@@ -1,16 +1,11 @@
-//! Quadrature and gradients on the compact representation.
+//! Quadrature on the compact representation.
 //!
-//! Both operations fall out of the hierarchical basis for free:
-//!
-//! * the integral of the d-dimensional hat `φ_{l,i}` over `[0,1]^d` is
-//!   `∏_t 2^{−(l_t+1)}` = `2^{−(|l|₁+d)}` — constant per subspace, so
-//!   integration is one weighted pass over the coefficient array;
-//! * the gradient of the interpolant is piecewise constant per basis
-//!   factor: `φ'_{l,i}(x) = ±2^{l_t+1}` inside the support.
+//! The integral falls out of the hierarchical basis for free: the
+//! integral of the d-dimensional hat `φ_{l,i}` over `[0,1]^d` is
+//! `∏_t 2^{−(l_t+1)}` = `2^{−(|l|₁+d)}` — constant per subspace, so
+//! integration is one weighted pass over the coefficient array.
 
 use crate::grid::CompactGrid;
-use crate::iter::{first_level, next_level};
-use crate::level::Level;
 use crate::real::Real;
 
 /// Integral of the sparse grid interpolant over the whole domain
@@ -47,73 +42,9 @@ pub fn integrate<T: Real>(grid: &CompactGrid<T>) -> f64 {
     acc
 }
 
-/// Evaluate the interpolant and its gradient at `x ∈ [0,1]^d`.
-///
-/// The gradient of a piecewise-linear interpolant is undefined exactly on
-/// cell boundaries; there the left/right choice made by the cell-index
-/// arithmetic applies (same convention as [`crate::evaluate::evaluate`]).
-pub fn evaluate_with_gradient<T: Real>(grid: &CompactGrid<T>, x: &[f64]) -> (f64, Vec<f64>) {
-    let spec = grid.spec();
-    let d = spec.dim();
-    assert_eq!(x.len(), d, "query point dimension mismatch");
-    assert!(
-        x.iter().all(|&v| (0.0..=1.0).contains(&v)),
-        "query point outside the unit domain"
-    );
-    let values = grid.values();
-    let mut l = vec![0 as Level; d];
-    let mut basis = vec![0.0f64; d];
-    let mut slope = vec![0.0f64; d];
-    let mut value = 0.0f64;
-    let mut grad = vec![0.0f64; d];
-    let mut index2 = 0usize;
-    for n in 0..spec.levels() {
-        let sub_len = 1usize << n;
-        first_level(n, &mut l);
-        loop {
-            let mut prod = 1.0f64;
-            let mut index1 = 0u64;
-            for t in 0..d {
-                let cells = 1u64 << l[t] as u32;
-                let pos = x[t] * cells as f64;
-                let c = (pos as u64).min(cells - 1);
-                let frac = pos - c as f64;
-                let signed = 2.0 * frac - 1.0;
-                basis[t] = 1.0 - signed.abs();
-                // dφ/dx = ∓ 2^{l+1}, negative right of the node centre.
-                slope[t] = -signed.signum() * 2.0 * cells as f64;
-                index1 = (index1 << l[t] as u32) + c;
-                prod *= basis[t];
-            }
-            let coeff = values[index2 + index1 as usize].to_f64();
-            if coeff != 0.0 {
-                value += prod * coeff;
-                // ∂/∂x_t of the product is slope_t × Π_{u≠t} basis_u,
-                // computed with prefix/suffix products so the one-sided
-                // derivative survives basis_t = 0 (x on a cell boundary).
-                let mut prefix = 1.0f64;
-                for t in 0..d {
-                    let mut others = prefix;
-                    for u in t + 1..d {
-                        others *= basis[u];
-                    }
-                    grad[t] += coeff * slope[t] * others;
-                    prefix *= basis[t];
-                }
-            }
-            index2 += sub_len;
-            if !next_level(&mut l) {
-                break;
-            }
-        }
-    }
-    (value, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::evaluate;
     use crate::functions::TestFunction;
     use crate::hierarchize::hierarchize;
     use crate::level::GridSpec;
@@ -156,48 +87,5 @@ mod tests {
         let doubled =
             CompactGrid::from_parts(*g.spec(), g.values().iter().map(|&v| 2.0 * v).collect());
         assert!((integrate(&doubled) - 2.0 * integrate(&g)).abs() < 1e-14);
-    }
-
-    #[test]
-    fn gradient_value_matches_plain_evaluation() {
-        let g = surplus_grid(3, 5, |x| TestFunction::Gaussian.eval(x));
-        for x in crate::functions::halton_points(3, 40).chunks_exact(3) {
-            let (v, _) = evaluate_with_gradient(&g, x);
-            assert!((v - evaluate(&g, x)).abs() < 1e-13);
-        }
-    }
-
-    #[test]
-    fn gradient_matches_finite_differences_inside_cells() {
-        let g = surplus_grid(2, 5, |x| TestFunction::Gaussian.eval(x));
-        let h = 1e-7;
-        // Probe points chosen off the dyadic lattice so no kink is near.
-        for x in [[0.3011, 0.5503], [0.1207, 0.8801], [0.6602, 0.3304]] {
-            let (_, grad) = evaluate_with_gradient(&g, &x);
-            for t in 0..2 {
-                let mut lo = x;
-                let mut hi = x;
-                lo[t] -= h;
-                hi[t] += h;
-                let fd = (evaluate(&g, &hi) - evaluate(&g, &lo)) / (2.0 * h);
-                assert!(
-                    (grad[t] - fd).abs() < 1e-4 * (1.0 + fd.abs()),
-                    "x={x:?} t={t}: analytic {} vs fd {fd}",
-                    grad[t]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gradient_of_single_root_hat() {
-        // u(x) = φ_{0,1}(x): slope ±2 on either side of 0.5.
-        let mut g: CompactGrid<f64> = CompactGrid::new(GridSpec::new(1, 2));
-        g.set(&[0], &[1], 1.0);
-        let (v, grad) = evaluate_with_gradient(&g, &[0.25]);
-        assert_eq!(v, 0.5);
-        assert_eq!(grad[0], 2.0);
-        let (_, grad) = evaluate_with_gradient(&g, &[0.75]);
-        assert_eq!(grad[0], -2.0);
     }
 }

@@ -17,16 +17,15 @@
 //!
 //! Every buffer on the request path is owned and reused: the
 //! connection's [`Job`] (coordinates in, results out — ffsvm's
-//! `Problem` idiom), the executor's staging/batch buffers and
-//! [`EvalScratch`], and the queue itself (preallocated to its depth;
-//! `Arc<Job>` clones only bump a refcount). After warm-up, a request
-//! allocates nothing on client, queue, or executor side — asserted by a
-//! counting-allocator test.
+//! `Problem` idiom), the executor's staging/batch buffers, and the queue
+//! itself (preallocated to its depth; `Arc<Job>` clones only bump a
+//! refcount). The evaluator's block scratch is per-thread inside
+//! `sg-core`. After warm-up, a request allocates nothing on client,
+//! queue, or executor side — asserted by a counting-allocator test.
 
 use crate::fleet::{Fleet, Model};
 use crate::protocol::ServeError;
-use sg_core::evaluate::{evaluate_batch_blocked_into, EvalScratch};
-use sg_core::kernel;
+use sg_core::evaluate::{evaluate_batch_blocked_into, evaluate_batch_parallel_into};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -494,10 +493,6 @@ fn executor_loop(fleet: &Arc<Fleet>, shared: &Arc<Shared>) {
     let mut spans: Vec<(usize, usize)> = Vec::with_capacity(cfg.queue_depth);
     let mut xs_all: Vec<f64> = Vec::new();
     let mut out_all: Vec<f64> = Vec::new();
-    let mut scratch = EvalScratch::new();
-    // Per-worker scratch for the pooled path, popped/pushed without
-    // allocating once the pool has warmed up.
-    let scratch_pool: Mutex<Vec<EvalScratch>> = Mutex::new(Vec::with_capacity(32));
 
     loop {
         batch.clear();
@@ -589,16 +584,7 @@ fn executor_loop(fleet: &Arc<Fleet>, shared: &Arc<Shared>) {
             }
             continue;
         };
-        execute_batch(
-            model,
-            &cfg,
-            &batch,
-            &mut spans,
-            &mut xs_all,
-            &mut out_all,
-            &mut scratch,
-            &scratch_pool,
-        );
+        execute_batch(model, &cfg, &batch, &mut spans, &mut xs_all, &mut out_all);
         drop(guard);
     }
 }
@@ -607,7 +593,6 @@ fn executor_loop(fleet: &Arc<Fleet>, shared: &Arc<Shared>) {
 /// results back to the jobs. Shape-mismatched jobs (the model was
 /// swapped to a different dimensionality mid-flight) get typed errors;
 /// the rest proceed.
-#[allow(clippy::too_many_arguments)]
 fn execute_batch(
     model: &Model,
     cfg: &ServeConfig,
@@ -615,8 +600,6 @@ fn execute_batch(
     spans: &mut Vec<(usize, usize)>,
     xs_all: &mut Vec<f64>,
     out_all: &mut Vec<f64>,
-    scratch: &mut EvalScratch,
-    scratch_pool: &Mutex<Vec<EvalScratch>>,
 ) {
     let d = model.dim();
     xs_all.clear();
@@ -640,39 +623,18 @@ fn execute_batch(
     }
     out_all.clear();
     out_all.resize(total, 0.0);
-    let block = sg_par::lane_aligned(cfg.block, kernel::active().lanes());
 
     #[cfg(feature = "telemetry")]
     let t0 = std::time::Instant::now();
-    let grid = &model.grid;
-    let plan = &model.plan;
+    let (grid, plan) = (&model.grid, &model.plan);
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // Large batches go to the sg-par pool, small ones stay inline
+        // where the barrier would cost more than it saves. Both cores
+        // share the model's plan and are bitwise-identical.
         if total >= cfg.par_min_points {
-            // Pool path: lane-aligned blocks claimed dynamically, one
-            // shared plan, per-worker scratch from the pool. Chunking
-            // is bitwise-neutral — every point is independent.
-            sg_par::par_chunks_mut_grained(
-                out_all,
-                block,
-                1,
-                "serve.batch",
-                None,
-                |ci, out_chunk| {
-                    let xs_chunk = &xs_all[ci * block * d..ci * block * d + out_chunk.len() * d];
-                    let mut ws = scratch_pool
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .pop()
-                        .unwrap_or_default();
-                    evaluate_batch_blocked_into(grid, xs_chunk, block, plan, out_chunk, &mut ws);
-                    scratch_pool
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push(ws);
-                },
-            );
+            evaluate_batch_parallel_into(grid, xs_all, cfg.block, plan, out_all);
         } else {
-            evaluate_batch_blocked_into(grid, xs_all, block, plan, out_all, scratch);
+            evaluate_batch_blocked_into(grid, xs_all, cfg.block, plan, out_all);
         }
     }))
     .is_err();
