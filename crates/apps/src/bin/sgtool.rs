@@ -194,47 +194,41 @@ const USAGE: &str = "usage:
                   (nehalem | opteron | opteron-aggregate | tiny), top 3)
   sgtool combine run --dims D --level L [--function NAME]
                      [--policy recompute|reweight] [--spare-diagonals S]
-                     [--queries K] [--faults N] [--seed-base HEX]
-                     [--out MANIFEST] [--json PATH] [--bench]
+                     [--queries K] [--out MANIFEST] [--json PATH] [--bench]
                   (fault-tolerant combination-technique executor: samples
                   every component grid as an independent task, checkpoints
                   the set through an SGCM manifest, recovers the run from
                   the manifest, and cross-validates the combined
                   interpolant against the direct sparse grid to 1e-9;
-                  --faults injects N seeded faults — the 8 storage classes
-                  plus task panics and dropped-pre-commit components —
-                  and asserts detect-or-recover under both policies;
-                  --bench appends results/BENCH_combine.json)
+                  --bench appends results/BENCH_combine.json; injected
+                  faults run under `sgtool fuzz --faults combination=N`)
   sgtool combine verify MANIFEST
                   (per-component integrity table of an SGCM component-set
                   manifest; exit 0 intact, 3 damaged)
   sgtool fuzz [--budget-cases N] [--budget-secs S] [--seed-base HEX]
               [--op NAME[,NAME...]] [--shape DxN] [--sched-interleavings K]
-              [--snapshot-faults N] [--combination-faults N]
-              [--serve-chaos N] [--inject gp2idx-off-by-one] [--json PATH]
+              [--faults CAMPAIGN[:CLASS]=N[,...]]
+              [--inject gp2idx-off-by-one] [--json PATH]
                   (differential fuzzing: compact vs recursive vs dense
                   oracle, plus the sg-par virtual-scheduler invariant
                   sweep; SG_PROP_SEED overrides the seed base; any
                   divergence is shrunk to a minimal seeded reproducer;
                   --inject self-tests the harness and fails unless the
                   fault is caught; defaults: 10000 cases, 200
-                  interleavings per pool config, 0 snapshot faults;
-                  --snapshot-faults injects torn writes, truncation, bit
-                  flips, ENOSPC, and header/footer corruption into SGC2
-                  snapshots and asserts detect-or-recover on every one;
-                  --combination-faults injects the same storage classes
-                  into combination-executor manifests plus component task
-                  panics and dropped-pre-commit components, asserting
-                  recompute restores bitwise identity and reweight stays
-                  within its reported error bound;
-                  --serve-chaos starts a live sgd daemon on loopback and
-                  injects N network faults — torn frames, mid-response
-                  disconnects, stalls, corrupted request bytes, connection
-                  refusals, delayed bytes, random/truncated/oversized byte
-                  streams — asserting every one either recovers bitwise
-                  via client retry or surfaces as a typed error, with the
-                  daemon healthy after each and draining cleanly at the
-                  end)
+                  interleavings per pool config, no fault campaigns;
+                  --faults runs N seeded faults per campaign (only CLASS,
+                  if given) and requires each to end in full bitwise
+                  recovery, enumerated partial recovery, or a typed
+                  error: snapshot (torn writes, truncation, bit flips,
+                  ENOSPC, header/footer corruption, lost dirents against
+                  SGC2 snapshots), combination (the same storage faults
+                  against combination manifests, plus task panics and
+                  dropped-pre-commit components, under both policies),
+                  serve (torn frames, disconnects, stalls, corrupted,
+                  refused, delayed and malformed traffic against a live
+                  loopback sgd, health-probed after each case and
+                  drained at the end);
+                  each violation prints a one-line replay command)
 
 exit codes:
   0 success   2 usage error   3 corrupt or degraded data   4 I/O failure
@@ -527,13 +521,11 @@ fn cmd_combine_run(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| CliError::usage(format!("bad --queries: {e}")))?,
         None => 256,
     };
-    let faults: u64 = match flag(args, "--faults") {
-        Some(s) => s
-            .parse()
-            .map_err(|e| CliError::usage(format!("bad --faults: {e}")))?,
-        None => 0,
-    };
-    let seed_base = parse_u64_flag(args, "--seed-base")?.unwrap_or(0x5EED_C04B);
+    if args.iter().any(|a| a == "--faults") {
+        return Err(CliError::usage(
+            "combine run --faults was replaced by sgtool fuzz --faults combination=N",
+        ));
+    }
     let spec =
         GridSpec::try_new(d, level).map_err(|e| CliError::usage(format!("bad grid shape: {e}")))?;
     spec.try_num_points()
@@ -612,28 +604,6 @@ fn cmd_combine_run(args: &[String]) -> Result<(), CliError> {
         if cross_validated { "ok" } else { "FAILED" }
     );
 
-    // Optional fault-injection sweep with the same executor shape class.
-    let comb_report = if faults > 0 {
-        let r = sg_fuzz::run_combination_faults(seed_base, faults);
-        println!(
-            "faults: {} injected ({} recompute / {} reweight) — {} full, {} partial, \
-             {} clean-error, {} violation(s)",
-            r.cases,
-            r.per_policy.0,
-            r.per_policy.1,
-            r.full_recoveries,
-            r.partial_recoveries,
-            r.clean_errors,
-            r.violations.len()
-        );
-        for v in &r.violations {
-            println!("\n{v}");
-        }
-        Some(r)
-    } else {
-        None
-    };
-
     if args.iter().any(|a| a == "--bench") {
         let traj = vec![
             ("compute_s".to_string(), compute_secs),
@@ -669,25 +639,6 @@ fn cmd_combine_run(args: &[String]) -> Result<(), CliError> {
             "recover_secs": recover_secs,
             "crossval_secs": crossval_secs
         });
-        if let Some(r) = &comb_report {
-            let mut per_class = sg_json::json!({});
-            for (name, count) in &r.per_class {
-                per_class[*name] = sg_json::Value::from(*count as f64);
-            }
-            let mut cf = sg_json::json!({
-                "cases": r.cases as f64,
-                "seed_base": format!("{:#x}", r.seed_base),
-                "recompute_cases": r.per_policy.0 as f64,
-                "reweight_cases": r.per_policy.1 as f64,
-                "full_recoveries": r.full_recoveries as f64,
-                "partial_recoveries": r.partial_recoveries as f64,
-                "clean_errors": r.clean_errors as f64,
-                "violations": r.violations.clone(),
-                "elapsed_secs": r.elapsed_secs
-            });
-            cf["per_class"] = per_class;
-            doc["faults"] = cf;
-        }
         doc["provenance"] = sg_telemetry::provenance(&["telemetry"]);
         std::fs::write(&path, format!("{}\n", doc.to_string_pretty()))
             .map_err(|e| CliError::io(format!("cannot write combine report to {path}: {e}")))?;
@@ -699,14 +650,6 @@ fn cmd_combine_run(args: &[String]) -> Result<(), CliError> {
             "combination deviates from the direct interpolant by {max_diff:.3e} \
              (tolerance {tolerance:.3e})"
         )));
-    }
-    if let Some(r) = &comb_report {
-        if !r.clean() {
-            return Err(CliError::from(format!(
-                "{} combination fault-injection violation(s) — see reproducers above",
-                r.violations.len()
-            )));
-        }
     }
     Ok(())
 }
@@ -1485,21 +1428,17 @@ fn cmd_fuzz(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| format!("bad --sched-interleavings: {e}"))?,
         None => 200,
     };
-    let snapshot_faults: u64 = match flag(args, "--snapshot-faults") {
-        Some(n) => n
-            .parse()
-            .map_err(|e| format!("bad --snapshot-faults: {e}"))?,
-        None => 0,
-    };
-    let combination_faults: u64 = match flag(args, "--combination-faults") {
-        Some(n) => n
-            .parse()
-            .map_err(|e| format!("bad --combination-faults: {e}"))?,
-        None => 0,
-    };
-    let serve_chaos: u64 = match flag(args, "--serve-chaos") {
-        Some(n) => n.parse().map_err(|e| format!("bad --serve-chaos: {e}"))?,
-        None => 0,
+    for removed in ["--snapshot-faults", "--combination-faults", "--serve-chaos"] {
+        if args.iter().any(|a| a == removed) {
+            return Err(CliError::usage(format!(
+                "{removed} was replaced by --faults CAMPAIGN[:CLASS]=N[,...]"
+            )));
+        }
+    }
+    let fault_runs = match flag(args, "--faults") {
+        Some(spec) => sg_fuzz::parse_faults(&spec)
+            .map_err(|e| CliError::usage(format!("bad --faults: {e}")))?,
+        None => Vec::new(),
     };
 
     // Differential pass.
@@ -1544,84 +1483,34 @@ fn cmd_fuzz(args: &[String]) -> Result<(), CliError> {
         }
     }
 
-    // Snapshot fault-injection pass: every injected fault must end in
-    // full recovery, enumerated partial recovery, or a typed error.
-    let snap_report = if snapshot_faults > 0 {
-        let r = sg_fuzz::run_snapshot_faults(cfg.seed_base, snapshot_faults);
-        println!(
-            "snapshot-faults: {} injected in {:.2}s — {} full, {} partial, {} clean-error, \
-             {} violation(s)",
-            r.cases,
-            r.elapsed_secs,
-            r.full_recoveries,
-            r.partial_recoveries,
-            r.clean_errors,
-            r.violations.len()
-        );
-        for (name, count) in &r.per_class {
-            println!("  {name:<24} {count}");
-        }
-        for v in &r.violations {
-            println!("\n{v}");
-        }
-        Some(r)
-    } else {
-        None
-    };
-
-    // Combination-executor fault-injection pass: the storage classes
-    // against the component-set manifest plus task panics and
-    // dropped-pre-commit components, under both recovery policies.
-    let comb_report = if combination_faults > 0 {
-        let r = sg_fuzz::run_combination_faults(cfg.seed_base, combination_faults);
-        println!(
-            "combination-faults: {} injected in {:.2}s ({} recompute / {} reweight) — {} full, \
-             {} partial, {} clean-error, {} violation(s)",
-            r.cases,
-            r.elapsed_secs,
-            r.per_policy.0,
-            r.per_policy.1,
-            r.full_recoveries,
-            r.partial_recoveries,
-            r.clean_errors,
-            r.violations.len()
-        );
-        for (name, count) in &r.per_class {
-            println!("  {name:<24} {count}");
-        }
-        for v in &r.violations {
-            println!("\n{v}");
-        }
-        Some(r)
-    } else {
-        None
-    };
-
-    // Serving-layer chaos pass: network faults through a seeded proxy
-    // against a live daemon; every fault must recover bitwise via the
-    // client's retry machinery or surface as a typed wire error.
-    let chaos_report = if serve_chaos > 0 {
-        let r = sg_fuzz::run_serve_chaos(cfg.seed_base, serve_chaos);
-        println!(
-            "serve-chaos: {} injected in {:.2}s — {} recovered ({} retries), {} clean-error, \
-             {} violation(s)",
-            r.cases,
-            r.elapsed_secs,
-            r.recoveries,
-            r.retries,
-            r.clean_errors,
-            r.violations.len()
-        );
-        for (name, count) in &r.per_class {
-            println!("  {name:<24} {count}");
-        }
-        for v in &r.violations {
-            println!("\n{v}");
-        }
-        Some(r)
-    } else {
-        None
-    };
+    // Fault campaigns: every injected fault must end in full recovery,
+    // enumerated partial recovery, or a typed error.
+    let fault_reports: Vec<sg_fuzz::CampaignReport> = fault_runs
+        .iter()
+        .map(|run| {
+            let r = run.run(cfg.seed_base);
+            let counts: String = r.counts.iter().map(|(n, v)| format!(", {v} {n}")).collect();
+            println!(
+                "{} faults: {} injected in {:.2}s (seed base {:#x}) — {} full, {} partial, \
+                 {} clean-error{counts}, {} violation(s)",
+                r.campaign,
+                r.cases,
+                r.elapsed_secs,
+                r.seed_base,
+                r.full_recoveries,
+                r.partial_recoveries,
+                r.clean_errors,
+                r.violations.len()
+            );
+            for (name, count) in &r.per_class {
+                println!("  {name:<24} {count}");
+            }
+            for v in &r.violations {
+                println!("\n{v}");
+            }
+            r
+        })
+        .collect();
 
     // JSON summary (CI artifact, same provenance story as profile).
     if let Some(path) = flag(args, "--json") {
@@ -1660,56 +1549,30 @@ fn cmd_fuzz(args: &[String]) -> Result<(), CliError> {
             per_op[*name] = sg_json::Value::from(*count as f64);
         }
         doc["per_op"] = per_op;
-        if let Some(r) = &snap_report {
+        let mut faults = sg_json::json!({});
+        for r in &fault_reports {
             let mut per_class = sg_json::json!({});
             for (name, count) in &r.per_class {
                 per_class[*name] = sg_json::Value::from(*count as f64);
             }
-            let mut sf = sg_json::json!({
+            let mut counts = sg_json::json!({});
+            for (name, count) in &r.counts {
+                counts[*name] = sg_json::Value::from(*count as f64);
+            }
+            let mut section = sg_json::json!({
                 "cases": r.cases as f64,
+                "seed_base": format!("{:#x}", r.seed_base),
                 "full_recoveries": r.full_recoveries as f64,
                 "partial_recoveries": r.partial_recoveries as f64,
                 "clean_errors": r.clean_errors as f64,
                 "violations": r.violations.clone(),
                 "elapsed_secs": r.elapsed_secs
             });
-            sf["per_class"] = per_class;
-            doc["snapshot_faults"] = sf;
+            section["per_class"] = per_class;
+            section["counts"] = counts;
+            faults[r.campaign] = section;
         }
-        if let Some(r) = &comb_report {
-            let mut per_class = sg_json::json!({});
-            for (name, count) in &r.per_class {
-                per_class[*name] = sg_json::Value::from(*count as f64);
-            }
-            let mut cf = sg_json::json!({
-                "cases": r.cases as f64,
-                "recompute_cases": r.per_policy.0 as f64,
-                "reweight_cases": r.per_policy.1 as f64,
-                "full_recoveries": r.full_recoveries as f64,
-                "partial_recoveries": r.partial_recoveries as f64,
-                "clean_errors": r.clean_errors as f64,
-                "violations": r.violations.clone(),
-                "elapsed_secs": r.elapsed_secs
-            });
-            cf["per_class"] = per_class;
-            doc["combination_faults"] = cf;
-        }
-        if let Some(r) = &chaos_report {
-            let mut per_class = sg_json::json!({});
-            for (name, count) in &r.per_class {
-                per_class[*name] = sg_json::Value::from(*count as f64);
-            }
-            let mut sc = sg_json::json!({
-                "cases": r.cases as f64,
-                "recoveries": r.recoveries as f64,
-                "clean_errors": r.clean_errors as f64,
-                "retries": r.retries as f64,
-                "violations": r.violations.clone(),
-                "elapsed_secs": r.elapsed_secs
-            });
-            sc["per_class"] = per_class;
-            doc["serve_chaos"] = sc;
-        }
+        doc["faults"] = faults;
         doc["provenance"] = sg_telemetry::provenance(&["telemetry"]);
         std::fs::write(&path, format!("{}\n", doc.to_string_pretty()))
             .map_err(|e| format!("cannot write fuzz summary to {path}: {e}"))?;
@@ -1730,29 +1593,12 @@ fn cmd_fuzz(args: &[String]) -> Result<(), CliError> {
                     sched_violations.len()
                 )));
             }
-            if let Some(r) = &snap_report {
-                if !r.clean() {
-                    return Err(CliError::from(format!(
-                        "{} snapshot fault-injection violation(s) — see reproducers above",
-                        r.violations.len()
-                    )));
-                }
-            }
-            if let Some(r) = &comb_report {
-                if !r.clean() {
-                    return Err(CliError::from(format!(
-                        "{} combination fault-injection violation(s) — see reproducers above",
-                        r.violations.len()
-                    )));
-                }
-            }
-            if let Some(r) = &chaos_report {
-                if !r.clean() {
-                    return Err(CliError::from(format!(
-                        "{} serve-chaos violation(s) — see reproducers above",
-                        r.violations.len()
-                    )));
-                }
+            if let Some(r) = fault_reports.iter().find(|r| !r.clean()) {
+                return Err(CliError::from(format!(
+                    "{} {} fault violation(s) — see reproducers above",
+                    r.violations.len(),
+                    r.campaign
+                )));
             }
             Ok(())
         }

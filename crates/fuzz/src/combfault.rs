@@ -1,63 +1,35 @@
-//! Fault injection against the fault-tolerant combination executor.
+//! Fault campaign against the fault-tolerant combination executor.
 //!
 //! Each case builds a seeded combination run, checkpoints its component
-//! set through the `SGCM` manifest path, injects one fault — the eight
-//! storage classes the snapshot harness rotates ([`crate::snapfault`])
-//! reinterpreted against the manifest, plus two executor-level classes
-//! (component task panic, component dropped pre-commit) — and asserts
-//! the **detect-or-recover contract**:
-//!
-//! 1. *full recovery* — the recovered combination grid is bitwise
-//!    identical to the fault-free run,
-//! 2. *partial recovery* — lost components are enumerated and the
-//!    configured policy holds: `Recompute` restores bitwise identity,
-//!    `Reweight` stays within its self-reported error bound at every
-//!    probe point, or
-//! 3. *clean error* — a typed [`sg_core::error::SgError`], for faults
-//!    that destroy the manifest's identity or strand the re-weighting
-//!    solver.
-//!
-//! A panic escaping the executor, a silently corrupted payload claimed
-//! intact, a `Recompute` result that differs bitwise, or a `Reweight`
-//! result outside its own bound is a **violation**, reported with a
-//! seeded reproducer.
+//! set through the `SGCM` manifest path, and injects one fault: the
+//! eight [`StorageFault`] classes against the manifest, or one of two
+//! executor-level losses (component task panic, component dropped
+//! pre-commit). Full recovery means the recovered combination grid is
+//! bitwise identical to the fault-free run; partial recovery means the
+//! lost components are enumerated and the configured policy holds
+//! (`Recompute` restores bitwise identity, `Reweight` stays within its
+//! self-reported error bound at every probe point); a fault that
+//! destroys the manifest's identity or strands the re-weighting solver
+//! must end in a typed [`sg_core::error::SgError`]. A silently corrupted
+//! payload claimed intact is a violation. Each case reports the policy
+//! it drew as the campaign counts `recompute` / `reweight`. See
+//! [`crate::campaign`] for the contract and the driver.
 
-use crate::snapfault::FaultOutcome;
+use crate::campaign::{inject_storage, seeded_function, Arm, FaultCampaign, Outcome, StorageFault};
 use sg_combination::{
     CombinationExecutor, CombinationGrid, ExecutorConfig, InjectedFaults, RecoveryPolicy,
     RunOutcome,
 };
-use sg_core::error::SgError;
 use sg_core::level::GridSpec;
-use sg_io::{component_boundaries, recover_component_set, FaultSink, MemorySink, WriteFault};
+use sg_io::{component_boundaries, recover_component_set, MemorySink};
 use sg_prop::Rng;
-use std::panic;
-use std::time::Instant;
 
-/// The injected fault classes: the snapshot harness's eight storage
-/// classes against the component-set manifest, plus the two
-/// executor-level losses.
+/// The injected fault classes: the eight storage classes against the
+/// component-set manifest, plus the two executor-level losses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CombFaultClass {
-    /// The sink tears the manifest stream exactly at a component
-    /// boundary but still publishes.
-    TornSectionBoundary,
-    /// The sink tears the stream mid-component.
-    TornMidSection,
-    /// One flipped bit anywhere in the published manifest.
-    BitFlip,
-    /// The published manifest is truncated at an arbitrary byte.
-    Truncate,
-    /// The device fills up mid-checkpoint: typed I/O error, nothing
-    /// published.
-    Enospc,
-    /// A corrupted byte inside the leading manifest header.
-    HeaderCorrupt,
-    /// A corrupted byte inside the footer / trailer region.
-    FooterCorrupt,
-    /// The checkpoint commits but its directory entry is lost; the
-    /// reader falls back to the previous manifest.
-    LostDirent,
+    /// A storage fault against the manifest.
+    Storage(StorageFault),
     /// A component task panics mid-sampling (transient or persistent).
     TaskPanic,
     /// A computed component's values are dropped after compute, before
@@ -65,66 +37,42 @@ pub enum CombFaultClass {
     DroppedPreCommit,
 }
 
-impl CombFaultClass {
-    /// Every class, in injection-rotation order.
-    pub const ALL: [CombFaultClass; 10] = [
-        CombFaultClass::TornSectionBoundary,
-        CombFaultClass::TornMidSection,
-        CombFaultClass::BitFlip,
-        CombFaultClass::Truncate,
-        CombFaultClass::Enospc,
-        CombFaultClass::HeaderCorrupt,
-        CombFaultClass::FooterCorrupt,
-        CombFaultClass::LostDirent,
+/// The combination campaign.
+pub struct Combination;
+
+impl FaultCampaign for Combination {
+    type Class = CombFaultClass;
+    const NAME: &'static str = "combination";
+    const CLASSES: &'static [CombFaultClass] = &[
+        CombFaultClass::Storage(StorageFault::TornSectionBoundary),
+        CombFaultClass::Storage(StorageFault::TornMidSection),
+        CombFaultClass::Storage(StorageFault::BitFlip),
+        CombFaultClass::Storage(StorageFault::Truncate),
+        CombFaultClass::Storage(StorageFault::Enospc),
+        CombFaultClass::Storage(StorageFault::HeaderCorrupt),
+        CombFaultClass::Storage(StorageFault::FooterCorrupt),
+        CombFaultClass::Storage(StorageFault::LostDirent),
         CombFaultClass::TaskPanic,
         CombFaultClass::DroppedPreCommit,
     ];
+    const COUNTS: &'static [&'static str] = &["recompute", "reweight"];
 
-    /// Stable name (report keys, CLI).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CombFaultClass::TornSectionBoundary => "torn-section-boundary",
-            CombFaultClass::TornMidSection => "torn-mid-section",
-            CombFaultClass::BitFlip => "bit-flip",
-            CombFaultClass::Truncate => "truncate",
-            CombFaultClass::Enospc => "enospc",
-            CombFaultClass::HeaderCorrupt => "header-corrupt",
-            CombFaultClass::FooterCorrupt => "footer-corrupt",
-            CombFaultClass::LostDirent => "lost-dirent",
+    fn class_name(class: CombFaultClass) -> &'static str {
+        match class {
+            CombFaultClass::Storage(fault) => fault.name(),
             CombFaultClass::TaskPanic => "task-panic",
             CombFaultClass::DroppedPreCommit => "dropped-pre-commit",
         }
     }
-}
 
-/// Aggregate result of a combination fault-injection run.
-#[derive(Debug, Clone)]
-pub struct CombFaultReport {
-    /// Faults injected.
-    pub cases: u64,
-    /// Per-class injection counts, in [`CombFaultClass::ALL`] order.
-    pub per_class: Vec<(&'static str, u64)>,
-    /// Cases run under each policy, `(recompute, reweight)`.
-    pub per_policy: (u64, u64),
-    /// Cases that ended bitwise identical with nothing lost.
-    pub full_recoveries: u64,
-    /// Cases where components were lost and the policy held.
-    pub partial_recoveries: u64,
-    /// Cases that ended in a typed error.
-    pub clean_errors: u64,
-    /// Contract violations, each with a seeded reproducer. Empty on a
-    /// clean run.
-    pub violations: Vec<String>,
-    /// Wall-clock seconds.
-    pub elapsed_secs: f64,
-    /// Seed base used (provenance / replay).
-    pub seed_base: u64,
-}
+    fn start(_seed_base: u64) -> Result<Combination, String> {
+        Ok(Combination)
+    }
 
-impl CombFaultReport {
-    /// True when every fault resolved inside the contract.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty()
+    /// Injected task panics unwind on `sg-par` pool workers, so the case
+    /// runs with expected panics silenced process-wide.
+    fn run_case(&self, class: CombFaultClass, seed: u64) -> Result<Outcome, String> {
+        crate::with_quiet_panics_global(|| run_case(class, seed))
     }
 }
 
@@ -138,17 +86,7 @@ fn seeded_case(rng: &mut Rng) -> (CombinationExecutor, impl Fn(&[f64]) -> f64 + 
     } else {
         RecoveryPolicy::Recompute
     };
-    let coeffs: Vec<f64> = (0..d).map(|_| rng.f64_in(-2.0, 2.0)).collect();
-    let freq = rng.f64_in(1.0, 6.0);
-    let f = move |x: &[f64]| -> f64 {
-        let mut s = 0.0;
-        let mut p = 1.0;
-        for (t, &c) in coeffs.iter().enumerate() {
-            s += c * (freq * x[t]).sin();
-            p *= 4.0 * x[t] * (1.0 - x[t]);
-        }
-        s + p
-    };
+    let f = seeded_function(rng, d);
     let exec = CombinationExecutor::with_config(
         GridSpec::new(d, levels),
         ExecutorConfig {
@@ -177,7 +115,7 @@ fn check_recovery(
     components: &[sg_combination::AnisoFullGrid<f64>],
     reference: &CombinationGrid<f64>,
     bytes: &[u8],
-) -> Result<FaultOutcome, String> {
+) -> Result<Arm, String> {
     // Silent-corruption check: every payload claimed intact must be
     // bitwise identical to the computed component values.
     match recover_component_set::<f64>(bytes) {
@@ -196,21 +134,21 @@ fn check_recovery(
         Err(_) => {
             // Identity destroyed: the executor must fail typed too.
             return match exec.recover_run::<f64>(bytes, f) {
-                Err(e) => Ok(FaultOutcome::CleanError(e.to_string())),
+                Err(e) => Ok(Arm::CleanError(e.to_string())),
                 Ok(_) => Err("manifest identity unreadable but recover_run succeeded".into()),
             };
         }
     }
     let run = match exec.recover_run::<f64>(bytes, f) {
         Ok(run) => run,
-        Err(e) => return Ok(FaultOutcome::CleanError(e.to_string())),
+        Err(e) => return Ok(Arm::CleanError(e.to_string())),
     };
     match run.outcome {
         RunOutcome::Clean => {
             if !grids_bitwise_equal(&run.grid, reference) {
                 return Err("clean recovery differs bitwise from the fault-free run".into());
             }
-            Ok(FaultOutcome::FullRecovery)
+            Ok(Arm::FullRecovery)
         }
         RunOutcome::Recomputed { components: lost } => {
             if !grids_bitwise_equal(&run.grid, reference) {
@@ -218,7 +156,7 @@ fn check_recovery(
                     "recompute of lost components {lost:?} is not bitwise identical"
                 ));
             }
-            Ok(FaultOutcome::PartialRecovery { lost_groups: lost })
+            Ok(Arm::PartialRecovery { lost })
         }
         RunOutcome::Reweighted {
             dropped,
@@ -243,25 +181,21 @@ fn check_recovery(
                     ));
                 }
             }
-            Ok(FaultOutcome::PartialRecovery {
-                lost_groups: dropped,
-            })
+            Ok(Arm::PartialRecovery { lost: dropped })
         }
     }
 }
 
-/// Run one seeded combination fault-injection case. Exposed so failures
-/// can be replayed individually (`sgtool fuzz --combination-faults 1`
-/// with `SG_PROP_SEED`).
-pub fn run_case(class: CombFaultClass, seed: u64) -> Result<FaultOutcome, String> {
+/// One seeded case; the outcome's counts carry the policy it drew.
+fn run_case(class: CombFaultClass, seed: u64) -> Result<Outcome, String> {
     let mut rng = Rng::new(seed);
     let (exec, f) = seeded_case(&mut rng);
     let components = exec
         .compute_components(&f)
         .map_err(|e| format!("fault-free compute failed: {e}"))?;
+    let write = |sink: &mut dyn sg_io::SnapshotSink| exec.checkpoint(&components, sink, None);
     let mut sink = MemorySink::new();
-    exec.checkpoint(&components, &mut sink, None)
-        .map_err(|e| format!("fault-free checkpoint failed: {e}"))?;
+    write(&mut sink).map_err(|e| format!("fault-free checkpoint failed: {e}"))?;
     let gold = sink.into_published().expect("memory sink commits");
     let reference = exec
         .recover_run::<f64>(&gold, &f)
@@ -274,82 +208,13 @@ pub fn run_case(class: CombFaultClass, seed: u64) -> Result<FaultOutcome, String
     }
     let bounds =
         component_boundaries(&gold).map_err(|e| format!("gold manifest unreadable: {e}"))?;
-    let header_len = bounds[0];
-    let sections_end = bounds[bounds.len() - 2];
     let check = |bytes: &[u8]| check_recovery(&exec, &f, &components, &reference.grid, bytes);
-    match class {
-        CombFaultClass::TornSectionBoundary => {
-            let cut = bounds[rng.usize_in(0..=bounds.len() - 3)];
-            let mut sink = FaultSink::new(WriteFault::Torn { after_bytes: cut });
-            exec.checkpoint(&components, &mut sink, None)
-                .map_err(|e| e.to_string())?;
-            match sink.into_published() {
-                Some(bytes) => check(&bytes),
-                None => Ok(FaultOutcome::CleanError("write failed cleanly".into())),
+    let arm = match class {
+        CombFaultClass::Storage(fault) => {
+            match inject_storage(fault, &gold, &bounds, &mut rng, write)? {
+                None => Arm::CleanError("write failed cleanly".into()),
+                Some(bytes) => check(&bytes)?,
             }
-        }
-        CombFaultClass::TornMidSection => {
-            let s = rng.usize_in(0..=bounds.len() - 3);
-            let cut = rng.usize_in(bounds[s] + 1..=bounds[s + 1] - 1);
-            let mut sink = FaultSink::new(WriteFault::Torn { after_bytes: cut });
-            exec.checkpoint(&components, &mut sink, None)
-                .map_err(|e| e.to_string())?;
-            match sink.into_published() {
-                Some(bytes) => check(&bytes),
-                None => Ok(FaultOutcome::CleanError("write failed cleanly".into())),
-            }
-        }
-        CombFaultClass::BitFlip => {
-            let mut bytes = gold.clone();
-            let pos = rng.usize_in(0..=bytes.len() - 1);
-            bytes[pos] ^= 1 << rng.u8_in(0..=7);
-            check(&bytes)
-        }
-        CombFaultClass::Truncate => {
-            let cut = rng.usize_in(0..=gold.len() - 1);
-            check(&gold[..cut])
-        }
-        CombFaultClass::Enospc => {
-            let after = rng.usize_in(0..=gold.len() - 1);
-            let mut sink = FaultSink::new(WriteFault::Enospc { after_bytes: after });
-            match exec.checkpoint(&components, &mut sink, None) {
-                Err(SgError::Io(_)) => {}
-                other => {
-                    return Err(format!(
-                        "ENOSPC at byte {after} must fail with SgError::Io, got {other:?}"
-                    ))
-                }
-            }
-            if sink.committed() {
-                return Err(format!("ENOSPC at byte {after} still published a manifest"));
-            }
-            Ok(FaultOutcome::CleanError("write failed cleanly".into()))
-        }
-        CombFaultClass::HeaderCorrupt => {
-            let mut bytes = gold.clone();
-            let pos = rng.usize_in(0..=header_len - 1);
-            bytes[pos] ^= 1 << rng.u8_in(0..=7);
-            check(&bytes)
-        }
-        CombFaultClass::FooterCorrupt => {
-            let mut bytes = gold.clone();
-            let pos = rng.usize_in(sections_end..=bytes.len() - 1);
-            bytes[pos] ^= 1 << rng.u8_in(0..=7);
-            check(&bytes)
-        }
-        CombFaultClass::LostDirent => {
-            // A newer checkpoint commits but its dirent vanishes; the
-            // reader must find the previous manifest and recover fully.
-            let mut sink = FaultSink::new(WriteFault::LostDirent);
-            exec.checkpoint(&components, &mut sink, None)
-                .map_err(|e| e.to_string())?;
-            if !sink.committed() {
-                return Err("lost-dirent commit must report success to the writer".into());
-            }
-            if sink.into_published().is_some() {
-                return Err("lost-dirent fault must publish nothing".into());
-            }
-            check(&gold)
         }
         CombFaultClass::TaskPanic => {
             let k = rng.usize_in(0..=exec.tasks().len() - 1);
@@ -359,10 +224,10 @@ pub fn run_case(class: CombFaultClass, seed: u64) -> Result<FaultOutcome, String
                 drop_pre_commit: None,
             };
             match exec.compute_components_faulty(&f, faults, None) {
-                Err(e) if persistent => Ok(FaultOutcome::CleanError(e.to_string())),
-                Err(e) => Err(format!("transient panic of task {k} was not retried: {e}")),
+                Err(e) if persistent => Arm::CleanError(e.to_string()),
+                Err(e) => return Err(format!("transient panic of task {k} was not retried: {e}")),
                 Ok(_) if persistent => {
-                    Err(format!("persistent panic of task {k} reported success"))
+                    return Err(format!("persistent panic of task {k} reported success"))
                 }
                 Ok(retried) => {
                     for (i, (a, b)) in retried.iter().zip(&components).enumerate() {
@@ -375,7 +240,7 @@ pub fn run_case(class: CombFaultClass, seed: u64) -> Result<FaultOutcome, String
                     let mut sink = MemorySink::new();
                     exec.checkpoint(&retried, &mut sink, None)
                         .map_err(|e| e.to_string())?;
-                    check(&sink.into_published().expect("memory sink commits"))
+                    check(&sink.into_published().expect("memory sink commits"))?
                 }
             }
         }
@@ -384,83 +249,24 @@ pub fn run_case(class: CombFaultClass, seed: u64) -> Result<FaultOutcome, String
             let mut sink = MemorySink::new();
             exec.checkpoint(&components, &mut sink, Some(k))
                 .map_err(|e| e.to_string())?;
-            check(&sink.into_published().expect("memory sink commits"))
+            check(&sink.into_published().expect("memory sink commits"))?
         }
-    }
-}
-
-/// Inject `cases` faults (rotating through every [`CombFaultClass`],
-/// alternating recovery policies by seed) and check the detect-or-
-/// recover contract on each. Panics inside the executor count as
-/// violations, not crashes.
-pub fn run_combination_faults(seed_base: u64, cases: u64) -> CombFaultReport {
-    let started = Instant::now();
-    let mut report = CombFaultReport {
-        cases: 0,
-        per_class: CombFaultClass::ALL.iter().map(|c| (c.name(), 0)).collect(),
-        per_policy: (0, 0),
-        full_recoveries: 0,
-        partial_recoveries: 0,
-        clean_errors: 0,
-        violations: Vec::new(),
-        elapsed_secs: 0.0,
-        seed_base,
     };
-    crate::with_quiet_panics_global(|| {
-        for k in 0..cases {
-            let class = CombFaultClass::ALL[(k % CombFaultClass::ALL.len() as u64) as usize];
-            let seed = crate::case_seed(seed_base, k);
-            // Mirror `seeded_case`'s policy draw for the report split.
-            {
-                let mut rng = Rng::new(seed);
-                let _ = rng.usize_in(1..=4);
-                let _ = rng.usize_in(2..=5);
-                if rng.bool() {
-                    report.per_policy.1 += 1;
-                } else {
-                    report.per_policy.0 += 1;
-                }
-            }
-            let outcome = panic::catch_unwind(panic::AssertUnwindSafe(|| run_case(class, seed)))
-                .unwrap_or_else(|payload| {
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                        .unwrap_or("non-string panic payload");
-                    Err(format!("panicked: {msg}"))
-                });
-            report.cases += 1;
-            report.per_class[(k % CombFaultClass::ALL.len() as u64) as usize].1 += 1;
-            match outcome {
-                Ok(FaultOutcome::FullRecovery) => report.full_recoveries += 1,
-                Ok(FaultOutcome::PartialRecovery { .. }) => report.partial_recoveries += 1,
-                Ok(FaultOutcome::CleanError(_)) => report.clean_errors += 1,
-                Err(why) => {
-                    report.violations.push(format!(
-                        "fault={} seed={seed:#x}: {why}\nreplay: SG_PROP_SEED={seed:#x} sgtool \
-                         fuzz --budget-cases 0 --sched-interleavings 0 --snapshot-faults 0 \
-                         --combination-faults 1",
-                        class.name()
-                    ));
-                    if report.violations.len() >= 5 {
-                        break;
-                    }
-                }
-            }
-        }
-    });
-    report.elapsed_secs = started.elapsed().as_secs_f64();
-    report
+    let reweight = u64::from(exec.config().policy == RecoveryPolicy::Reweight);
+    Ok(Outcome {
+        arm,
+        counts: vec![1 - reweight, reweight],
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::run_campaign;
 
     #[test]
     fn every_class_resolves_inside_the_contract() {
-        let report = run_combination_faults(0x5EED_0002, 100);
+        let report = run_campaign::<Combination>(0x5EED_0002, 100, None);
         assert!(report.clean(), "{:#?}", report.violations);
         assert_eq!(report.cases, 100);
         assert_eq!(
@@ -475,22 +281,31 @@ mod tests {
         assert!(report.full_recoveries > 0, "no full recoveries seen");
         assert!(report.partial_recoveries > 0, "no partial recoveries seen");
         assert!(report.clean_errors > 0, "no clean errors seen");
-        assert!(report.per_policy.0 > 0, "recompute policy never drawn");
-        assert!(report.per_policy.1 > 0, "reweight policy never drawn");
+        assert!(
+            report.count("recompute") > 0,
+            "recompute policy never drawn"
+        );
+        assert!(report.count("reweight") > 0, "reweight policy never drawn");
     }
 
     #[test]
     fn cases_are_deterministic_in_the_seed() {
-        let a = run_case(CombFaultClass::BitFlip, 0x0C0F_FEE0).unwrap();
-        let b = run_case(CombFaultClass::BitFlip, 0x0C0F_FEE0).unwrap();
+        let class = CombFaultClass::Storage(StorageFault::BitFlip);
+        let a = Combination.run_case(class, 0x0C0F_FEE0).unwrap();
+        let b = Combination.run_case(class, 0x0C0F_FEE0).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn enospc_never_publishes() {
         for k in 0..10 {
-            let outcome = run_case(CombFaultClass::Enospc, crate::case_seed(11, k)).unwrap();
-            assert!(matches!(outcome, FaultOutcome::CleanError(_)));
+            let outcome = Combination
+                .run_case(
+                    CombFaultClass::Storage(StorageFault::Enospc),
+                    crate::case_seed(11, k),
+                )
+                .unwrap();
+            assert!(matches!(outcome.arm, Arm::CleanError(_)));
         }
     }
 
@@ -498,9 +313,10 @@ mod tests {
     fn dropped_pre_commit_exercises_both_policies() {
         let mut partial = 0;
         for k in 0..20 {
-            let outcome =
-                run_case(CombFaultClass::DroppedPreCommit, crate::case_seed(13, k)).unwrap();
-            if matches!(outcome, FaultOutcome::PartialRecovery { .. }) {
+            let outcome = Combination
+                .run_case(CombFaultClass::DroppedPreCommit, crate::case_seed(13, k))
+                .unwrap();
+            if matches!(outcome.arm, Arm::PartialRecovery { .. }) {
                 partial += 1;
             }
         }

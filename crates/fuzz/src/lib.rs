@@ -19,13 +19,16 @@
 //! scheduler in [`sg_par::vsched`] rather than by wall-clock stress.
 //!
 //! Entry points: [`run_fuzz`] (the engine behind `sgtool fuzz`) and
-//! [`diff::run_case`] for a single case.
+//! [`diff::run_case`] for a single case. The detect-or-recover fault
+//! campaigns (snapshot, combination, serve) share one driver in
+//! [`campaign`] (`sgtool fuzz --faults`).
 
 use std::cell::Cell;
 use std::panic;
 use std::sync::Once;
 use std::time::Instant;
 
+pub mod campaign;
 pub mod combfault;
 pub mod diff;
 pub mod gen;
@@ -34,11 +37,12 @@ pub mod servechaos;
 pub mod shrink;
 pub mod snapfault;
 
-pub use combfault::{run_combination_faults, CombFaultClass, CombFaultReport};
+pub use campaign::{parse_faults, run_campaign, CampaignReport, FaultCampaign};
+pub use combfault::Combination;
 pub use diff::{Case, Failure, Injection, Op};
-pub use servechaos::{run_serve_chaos, ChaosClass, ChaosOutcome, ChaosReport};
+pub use servechaos::Serve;
 pub use shrink::Shrunk;
-pub use snapfault::{run_snapshot_faults, FaultClass, FaultOutcome, SnapFaultReport};
+pub use snapfault::Snapshot;
 
 thread_local! {
     static QUIET_PANICS: Cell<bool> = const { Cell::new(false) };
@@ -78,16 +82,30 @@ pub(crate) fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// Run `f` with expected panics silenced on *every* thread — used by the
-/// combination fault harness, whose injected task panics unwind inside
+/// combination fault campaign, whose injected task panics unwind inside
 /// pool workers. The blast radius is accepted: during a fault-injection
-/// run, any panic is either injected or caught and converted into a
-/// violation report.
+/// case, any panic is either injected or caught and converted into a
+/// violation report. The flag is cleared even when `f` unwinds.
 pub(crate) fn with_quiet_panics_global<R>(f: impl FnOnce() -> R) -> R {
+    struct Reset;
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            QUIET_PANICS_GLOBAL.store(false, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
     install_quiet_hook();
     QUIET_PANICS_GLOBAL.store(true, std::sync::atomic::Ordering::Relaxed);
-    let r = f();
-    QUIET_PANICS_GLOBAL.store(false, std::sync::atomic::Ordering::Relaxed);
-    r
+    let _reset = Reset;
+    f()
+}
+
+/// The message of a caught panic payload.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("non-string panic payload")
 }
 
 /// Budget and mode for a fuzz run.
@@ -186,13 +204,8 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
             diff::run_case(&case, cfg.inject)
         }))
         .unwrap_or_else(|payload| {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("non-string panic payload");
             Err(Failure {
-                detail: format!("operation panicked: {msg}"),
+                detail: format!("operation panicked: {}", panic_message(&*payload)),
                 point: None,
                 d: 0,
                 n: 0,

@@ -1,30 +1,27 @@
-//! Chaos-proxy fault injection against a live `sgd` serving stack.
+//! Chaos fault campaign against a live `sgd` serving stack.
 //!
 //! Each case targets a real in-process [`sg_serve::Server`] (TCP
 //! loopback, tight I/O limits) through a seeded fault-injecting proxy,
-//! or hits the daemon directly with malformed byte streams, and asserts
-//! the **detect-or-recover contract**:
-//!
-//! 1. *recovered* — the client's retry/backoff machinery absorbed the
-//!    fault and the final answer is bitwise identical to direct
-//!    library evaluation, or
-//! 2. *clean error* — the failure surfaced as a typed
-//!    [`sg_serve::ServeError`] wire code.
-//!
-//! A silently corrupted result, a daemon crash (detected by a
+//! or hits the daemon directly with malformed byte streams. Full
+//! recovery means the client's retry/backoff machinery absorbed the
+//! fault and the final answer is bitwise identical to direct library
+//! evaluation; a clean error is a typed [`sg_serve::ServeError`] wire
+//! code. A silently corrupted result, a daemon crash (detected by a
 //! per-case health probe, bitwise-checked against the oracle), a
-//! connection that neither answers nor closes, or a panic is a
-//! **violation**, reported with a seeded reproducer like the snapshot
-//! fault harness.
+//! connection that neither answers nor closes, or a final drain forced
+//! past its deadline is a violation. Each case reports the client
+//! retries it spent as the campaign count `retries`. See
+//! [`crate::campaign`] for the contract and the driver.
 //!
 //! Corruption is injected into the *structural* prefix of request
 //! frames (header, name, deadline/count fields) rather than the `f64`
 //! payload: the wire format carries no payload checksum, so a flipped
 //! coordinate byte would be undetectable by design — the contract this
-//! harness enforces is that every *detectable* fault is detected and
+//! campaign enforces is that every *detectable* fault is detected and
 //! typed, and that transport damage to responses (torn frames,
 //! disconnects, stalls) can never be mistaken for data.
 
+use crate::campaign::{Arm, FaultCampaign, Outcome};
 use sg_core::grid::CompactGrid;
 use sg_core::level::GridSpec;
 use sg_prop::Rng;
@@ -32,7 +29,6 @@ use sg_serve::protocol::parse_error;
 use sg_serve::{Client, Engine, Fleet, RetryPolicy, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,34 +67,6 @@ pub enum ChaosClass {
 }
 
 impl ChaosClass {
-    /// Every class, in injection-rotation order.
-    pub const ALL: [ChaosClass; 9] = [
-        ChaosClass::TornFrame,
-        ChaosClass::MidResponseDisconnect,
-        ChaosClass::Stall,
-        ChaosClass::CorruptByte,
-        ChaosClass::ConnectRefused,
-        ChaosClass::DelayedBytes,
-        ChaosClass::RandomBytes,
-        ChaosClass::TruncatedFrame,
-        ChaosClass::OversizedFrame,
-    ];
-
-    /// Stable name (report keys, CLI).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ChaosClass::TornFrame => "torn-frame",
-            ChaosClass::MidResponseDisconnect => "mid-response-disconnect",
-            ChaosClass::Stall => "stall",
-            ChaosClass::CorruptByte => "corrupt-byte",
-            ChaosClass::ConnectRefused => "connect-refused",
-            ChaosClass::DelayedBytes => "delayed-bytes",
-            ChaosClass::RandomBytes => "random-bytes",
-            ChaosClass::TruncatedFrame => "truncated-frame",
-            ChaosClass::OversizedFrame => "oversized-frame",
-        }
-    }
-
     /// Classes where the client's retry budget must fully absorb the
     /// fault (anything short of a bitwise-correct answer is a
     /// violation). The rest may legitimately end in a typed error.
@@ -114,51 +82,9 @@ impl ChaosClass {
     }
 }
 
-/// How one chaos case resolved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChaosOutcome {
-    /// The final answer matched direct evaluation bitwise.
-    Recovered {
-        /// Requests re-sent by the client to get there.
-        retries: u64,
-    },
-    /// The failure surfaced as this typed wire code.
-    CleanError(String),
-}
-
-/// Aggregate result of a chaos run.
-#[derive(Debug, Clone)]
-pub struct ChaosReport {
-    /// Faults injected.
-    pub cases: u64,
-    /// Per-class injection counts, in [`ChaosClass::ALL`] order.
-    pub per_class: Vec<(&'static str, u64)>,
-    /// Cases absorbed by retry/backoff with bitwise-correct answers.
-    pub recoveries: u64,
-    /// Cases that surfaced as typed errors.
-    pub clean_errors: u64,
-    /// Total client-side retries spent across the run.
-    pub retries: u64,
-    /// Contract violations (silent corruption, crash, hang, panic,
-    /// unrecovered must-recover class), each with a seeded reproducer.
-    pub violations: Vec<String>,
-    /// Wall-clock seconds.
-    pub elapsed_secs: f64,
-    /// Seed base used (provenance / replay).
-    pub seed_base: u64,
-}
-
-impl ChaosReport {
-    /// True when every fault resolved inside the contract.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// The live serving stack every case runs against: one daemon on
-/// loopback with tight timeouts and one model, plus the grid itself as
-/// the bitwise oracle.
-pub struct ChaosFixture {
+/// The serve campaign: one daemon on loopback with tight timeouts and
+/// one model, plus the grid itself as the bitwise oracle.
+pub struct Serve {
     server: Arc<Server>,
     addr: SocketAddr,
     grid: CompactGrid<f64>,
@@ -166,9 +92,38 @@ pub struct ChaosFixture {
     snap_path: std::path::PathBuf,
 }
 
-impl ChaosFixture {
+impl FaultCampaign for Serve {
+    type Class = ChaosClass;
+    const NAME: &'static str = "serve";
+    const CLASSES: &'static [ChaosClass] = &[
+        ChaosClass::TornFrame,
+        ChaosClass::MidResponseDisconnect,
+        ChaosClass::Stall,
+        ChaosClass::CorruptByte,
+        ChaosClass::ConnectRefused,
+        ChaosClass::DelayedBytes,
+        ChaosClass::RandomBytes,
+        ChaosClass::TruncatedFrame,
+        ChaosClass::OversizedFrame,
+    ];
+    const COUNTS: &'static [&'static str] = &["retries"];
+
+    fn class_name(class: ChaosClass) -> &'static str {
+        match class {
+            ChaosClass::TornFrame => "torn-frame",
+            ChaosClass::MidResponseDisconnect => "mid-response-disconnect",
+            ChaosClass::Stall => "stall",
+            ChaosClass::CorruptByte => "corrupt-byte",
+            ChaosClass::ConnectRefused => "connect-refused",
+            ChaosClass::DelayedBytes => "delayed-bytes",
+            ChaosClass::RandomBytes => "random-bytes",
+            ChaosClass::TruncatedFrame => "truncated-frame",
+            ChaosClass::OversizedFrame => "oversized-frame",
+        }
+    }
+
     /// Build a seeded model, snapshot it, and start the daemon.
-    pub fn start(seed: u64) -> Result<ChaosFixture, String> {
+    fn start(seed: u64) -> Result<Serve, String> {
         let mut rng = Rng::new(seed);
         let dim = rng.usize_in(2..=3);
         let levels = rng.usize_in(3..=4);
@@ -198,7 +153,7 @@ impl ChaosFixture {
         let engine = Engine::new(fleet, cfg);
         let server = Server::start(engine, Some("127.0.0.1:0"), None).map_err(|e| e.to_string())?;
         let addr = server.tcp_addr().expect("tcp listener bound");
-        Ok(ChaosFixture {
+        Ok(Serve {
             server,
             addr,
             grid,
@@ -207,6 +162,23 @@ impl ChaosFixture {
         })
     }
 
+    /// Drain the daemon gracefully; a forced drain is a violation.
+    fn finish(self) -> Result<(), String> {
+        let clean = self.server.drain(Duration::from_secs(3));
+        std::fs::remove_file(&self.snap_path).ok();
+        if clean {
+            Ok(())
+        } else {
+            Err("post-run graceful drain was forced past its deadline".into())
+        }
+    }
+
+    fn run_case(&self, class: ChaosClass, seed: u64) -> Result<Outcome, String> {
+        run_case(self, class, seed)
+    }
+}
+
+impl Serve {
     fn oracle(&self, xs: &[f64]) -> Vec<f64> {
         sg_core::evaluate::evaluate_batch(&self.grid, xs)
     }
@@ -224,17 +196,6 @@ impl ChaosFixture {
             return Err("health probe diverged bitwise from direct evaluation".into());
         }
         Ok(())
-    }
-
-    /// Drain the daemon gracefully; a forced drain is a violation.
-    pub fn finish(self) -> Result<(), String> {
-        let clean = self.server.drain(Duration::from_secs(3));
-        std::fs::remove_file(&self.snap_path).ok();
-        if clean {
-            Ok(())
-        } else {
-            Err("post-run graceful drain was forced past its deadline".into())
-        }
     }
 }
 
@@ -516,14 +477,9 @@ fn classify_reply(buf: &[u8]) -> Option<Reaction> {
     }
 }
 
-/// Run one seeded chaos case against the fixture. Exposed so failures
-/// can be replayed individually (`sgtool fuzz --serve-chaos 1` with
-/// `SG_PROP_SEED`).
-pub fn run_case(
-    fixture: &ChaosFixture,
-    class: ChaosClass,
-    seed: u64,
-) -> Result<ChaosOutcome, String> {
+/// One seeded chaos case; the outcome's count is the client retries it
+/// spent.
+fn run_case(fixture: &Serve, class: ChaosClass, seed: u64) -> Result<Outcome, String> {
     let mut rng = Rng::new(seed);
     let npoints = rng.usize_in(1..=6);
     let xs: Vec<f64> = (0..npoints * fixture.dim)
@@ -531,21 +487,21 @@ pub fn run_case(
         .collect();
     let expected = fixture.oracle(&xs);
 
-    let outcome = match class {
+    let (arm, retries) = match class {
         ChaosClass::RandomBytes => {
             let n = rng.usize_in(1..=256);
             let bytes: Vec<u8> = (0..n).map(|_| rng.u8_in(0..=255)).collect();
-            raw_outcome(fixture, &bytes)?
+            (raw_outcome(fixture, &bytes)?, 0)
         }
         ChaosClass::TruncatedFrame => {
             let full = encode_raw_eval_frame("m", &xs, npoints);
             let cut = rng.usize_in(6..=full.len() - 1);
-            raw_outcome(fixture, &full[..cut])?
+            (raw_outcome(fixture, &full[..cut])?, 0)
         }
         ChaosClass::OversizedFrame => {
             let mut bytes = vec![0x10u8];
             bytes.extend_from_slice(&0xFFFF_FF00u32.to_le_bytes());
-            raw_outcome(fixture, &bytes)?
+            (raw_outcome(fixture, &bytes)?, 0)
         }
         _ => {
             let fault = match class {
@@ -589,17 +545,15 @@ pub fn run_case(
                             npoints
                         ));
                     }
-                    ChaosOutcome::Recovered {
-                        retries: client.retry_stats().retries,
-                    }
+                    (Arm::FullRecovery, client.retry_stats().retries)
                 }
-                Err(e) => ChaosOutcome::CleanError(e.code().to_string()),
+                Err(e) => (Arm::CleanError(e.code().to_string()), 0),
             }
         }
     };
 
     if class.must_recover() {
-        if let ChaosOutcome::CleanError(code) = &outcome {
+        if let Arm::CleanError(code) = &arm {
             return Err(format!(
                 "class must recover via retry but surfaced typed {code:?}"
             ));
@@ -607,16 +561,19 @@ pub fn run_case(
     }
     // The daemon must still be alive and bitwise-correct.
     fixture.health_check(&xs, &expected)?;
-    Ok(outcome)
+    Ok(Outcome {
+        arm,
+        counts: vec![retries],
+    })
 }
 
 /// Byte-stream case: the daemon must answer typed or close, never hang,
 /// and never crash.
-fn raw_outcome(fixture: &ChaosFixture, bytes: &[u8]) -> Result<ChaosOutcome, String> {
+fn raw_outcome(fixture: &Serve, bytes: &[u8]) -> Result<Arm, String> {
     match malformed_stream_reaction(fixture.addr, bytes)? {
-        Reaction::ErrorFrame(code) => Ok(ChaosOutcome::CleanError(code)),
-        Reaction::Disconnect => Ok(ChaosOutcome::CleanError("disconnect".into())),
-        Reaction::Served => Ok(ChaosOutcome::Recovered { retries: 0 }),
+        Reaction::ErrorFrame(code) => Ok(Arm::CleanError(code)),
+        Reaction::Disconnect => Ok(Arm::CleanError("disconnect".into())),
+        Reaction::Served => Ok(Arm::FullRecovery),
         Reaction::Hang => Err(format!(
             "daemon neither answered nor closed a malformed stream within {}ms",
             REACTION_LIMIT.as_millis()
@@ -640,98 +597,35 @@ fn encode_raw_eval_frame(model: &str, xs: &[f64], npoints: usize) -> Vec<u8> {
     frame
 }
 
-/// Inject `cases` chaos faults (rotating through every [`ChaosClass`])
-/// against one live daemon and check the detect-or-recover contract on
-/// each. Ends with a graceful-drain check. Panics count as violations,
-/// not crashes.
-pub fn run_serve_chaos(seed_base: u64, cases: u64) -> ChaosReport {
-    let started = Instant::now();
-    let mut report = ChaosReport {
-        cases: 0,
-        per_class: ChaosClass::ALL.iter().map(|c| (c.name(), 0)).collect(),
-        recoveries: 0,
-        clean_errors: 0,
-        retries: 0,
-        violations: Vec::new(),
-        elapsed_secs: 0.0,
-        seed_base,
-    };
-    let fixture = match ChaosFixture::start(seed_base) {
-        Ok(f) => f,
-        Err(why) => {
-            report
-                .violations
-                .push(format!("fixture start failed: {why}"));
-            report.elapsed_secs = started.elapsed().as_secs_f64();
-            return report;
-        }
-    };
-    for k in 0..cases {
-        let ci = (k % ChaosClass::ALL.len() as u64) as usize;
-        let class = ChaosClass::ALL[ci];
-        let seed = crate::case_seed(seed_base, k);
-        let outcome =
-            panic::catch_unwind(panic::AssertUnwindSafe(|| run_case(&fixture, class, seed)))
-                .unwrap_or_else(|payload| {
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                        .unwrap_or("non-string panic payload");
-                    Err(format!("panicked: {msg}"))
-                });
-        report.cases += 1;
-        report.per_class[ci].1 += 1;
-        match outcome {
-            Ok(ChaosOutcome::Recovered { retries }) => {
-                report.recoveries += 1;
-                report.retries += retries;
-            }
-            Ok(ChaosOutcome::CleanError(_)) => report.clean_errors += 1,
-            Err(why) => {
-                report.violations.push(format!(
-                    "fault={} seed={seed:#x}: {why}\nreplay: SG_PROP_SEED={seed:#x} sgtool fuzz \
-                     --budget-cases 0 --sched-interleavings 0 --serve-chaos 1",
-                    class.name()
-                ));
-                if report.violations.len() >= 5 {
-                    break;
-                }
-            }
-        }
-    }
-    if let Err(why) = fixture.finish() {
-        report.violations.push(format!("drain: {why}"));
-    }
-    report.elapsed_secs = started.elapsed().as_secs_f64();
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::run_campaign;
 
     #[test]
     fn every_class_resolves_inside_the_contract() {
-        let report = run_serve_chaos(0xC4A0_5001, 27);
+        let report = run_campaign::<Serve>(0xC4A0_5001, 27, None);
         assert!(report.clean(), "{:#?}", report.violations);
         assert_eq!(report.cases, 27);
-        assert_eq!(report.recoveries + report.clean_errors, 27);
+        assert_eq!(report.full_recoveries + report.clean_errors, 27);
         for (name, count) in &report.per_class {
             assert_eq!(*count, 3, "class {name} ran {count} times");
         }
         // The run must exercise both contract arms and actually retry.
-        assert!(report.recoveries > 0, "no recoveries seen");
+        assert!(report.full_recoveries > 0, "no recoveries seen");
         assert!(report.clean_errors > 0, "no clean errors seen");
-        assert!(report.retries > 0, "the retry machinery never engaged");
+        assert!(
+            report.count("retries") > 0,
+            "the retry machinery never engaged"
+        );
     }
 
     #[test]
     fn cases_are_deterministic_in_the_seed() {
-        let fixture = ChaosFixture::start(0xC4A0_5002).unwrap();
-        let a = run_case(&fixture, ChaosClass::CorruptByte, 0xFEED).unwrap();
-        let b = run_case(&fixture, ChaosClass::CorruptByte, 0xFEED).unwrap();
+        let serve = Serve::start(0xC4A0_5002).unwrap();
+        let a = serve.run_case(ChaosClass::CorruptByte, 0xFEED).unwrap();
+        let b = serve.run_case(ChaosClass::CorruptByte, 0xFEED).unwrap();
         assert_eq!(a, b);
-        fixture.finish().unwrap();
+        serve.finish().unwrap();
     }
 }

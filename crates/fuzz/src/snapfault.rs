@@ -1,128 +1,56 @@
-//! Fault injection against the `SGC2` sectioned snapshot format.
+//! Fault campaign against the `SGC2` sectioned snapshot format.
 //!
 //! Each case builds a small grid from a seeded function, snapshots it,
-//! injects one fault (at the sink for write-path faults, on the
-//! published bytes for storage faults), and asserts the **detect-or-
-//! recover contract**: every fault must end in exactly one of
-//!
-//! 1. *full recovery* — the decoded grid is bitwise identical to the
-//!    original,
-//! 2. *partial recovery* — the lost level groups are enumerated, every
-//!    section reported intact is bitwise identical to the original, and
-//!    [`sg_io::DegradedGrid::repair_with`] reconstructs the lost groups
-//!    exactly, or
-//! 3. *clean error* — a typed [`sg_core::error::SgError`], for faults
-//!    that destroy the snapshot's identity.
-//!
-//! A panic, a silently corrupted coefficient, or an intact-claimed
-//! section that differs from the original is a **violation** and is
-//! reported with a seeded reproducer, same as the differential fuzzer's
-//! divergences.
+//! and injects one of the eight [`StorageFault`] classes (at the sink
+//! for write-path faults, on the published bytes for storage faults).
+//! Full recovery means the decoded grid is bitwise identical to the
+//! original; partial recovery means the lost level groups are
+//! enumerated, every section reported intact is bitwise identical to
+//! the original, and [`sg_io::DegradedGrid::repair_with`] reconstructs
+//! the lost groups exactly; a fault that destroys the snapshot's
+//! identity must end in a typed [`sg_core::error::SgError`]. See
+//! [`crate::campaign`] for the contract and the driver.
 
+use crate::campaign::{inject_storage, seeded_function, Arm, FaultCampaign, Outcome, StorageFault};
 use sg_core::grid::CompactGrid;
 use sg_core::level::GridSpec;
-use sg_io::{
-    recover_snapshot, section_boundaries, write_snapshot, FaultSink, MemorySink, WriteFault,
-};
+use sg_io::{recover_snapshot, section_boundaries, write_snapshot, MemorySink};
 use sg_prop::Rng;
-use std::panic;
-use std::time::Instant;
 
-/// The injected fault classes, covering both the write path (sink
-/// faults) and storage corruption of published bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultClass {
-    /// The sink tears the stream exactly at a section boundary but the
-    /// snapshot still publishes (rename acked before data pages).
-    TornSectionBoundary,
-    /// The sink tears the stream mid-section.
-    TornMidSection,
-    /// One flipped bit anywhere in the published bytes.
-    BitFlip,
-    /// The published file is truncated at an arbitrary byte.
-    Truncate,
-    /// The device fills up mid-write: the write must fail with a typed
-    /// I/O error and nothing may be published.
-    Enospc,
-    /// A corrupted byte inside the leading header.
-    HeaderCorrupt,
-    /// A corrupted byte inside the footer / trailer region.
-    FooterCorrupt,
-    /// The checkpoint commits — the writer sees success — but the
-    /// directory entry is lost in a crash (parent dir never fsynced):
-    /// the reader finds only the *previous* snapshot, which must still
-    /// recover fully.
-    LostDirent,
-}
+/// The snapshot campaign: the eight storage classes against `SGC2`.
+pub struct Snapshot;
 
-impl FaultClass {
-    /// Every class, in injection-rotation order.
-    pub const ALL: [FaultClass; 8] = [
-        FaultClass::TornSectionBoundary,
-        FaultClass::TornMidSection,
-        FaultClass::BitFlip,
-        FaultClass::Truncate,
-        FaultClass::Enospc,
-        FaultClass::HeaderCorrupt,
-        FaultClass::FooterCorrupt,
-        FaultClass::LostDirent,
-    ];
+impl FaultCampaign for Snapshot {
+    type Class = StorageFault;
+    const NAME: &'static str = "snapshot";
+    const CLASSES: &'static [StorageFault] = &StorageFault::ALL;
 
-    /// Stable name (report keys, CLI).
-    pub fn name(&self) -> &'static str {
-        match self {
-            FaultClass::TornSectionBoundary => "torn-section-boundary",
-            FaultClass::TornMidSection => "torn-mid-section",
-            FaultClass::BitFlip => "bit-flip",
-            FaultClass::Truncate => "truncate",
-            FaultClass::Enospc => "enospc",
-            FaultClass::HeaderCorrupt => "header-corrupt",
-            FaultClass::FooterCorrupt => "footer-corrupt",
-            FaultClass::LostDirent => "lost-dirent",
-        }
+    fn class_name(class: StorageFault) -> &'static str {
+        class.name()
     }
-}
 
-/// How one injected fault resolved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultOutcome {
-    /// Bitwise-identical grid recovered.
-    FullRecovery,
-    /// Some level groups lost; they were enumerated and repaired.
-    PartialRecovery {
-        /// The groups the recovery reported as lost.
-        lost_groups: Vec<usize>,
-    },
-    /// The fault destroyed the snapshot (or the write): a typed error.
-    CleanError(String),
-}
+    fn start(_seed_base: u64) -> Result<Snapshot, String> {
+        Ok(Snapshot)
+    }
 
-/// Aggregate result of a fault-injection run.
-#[derive(Debug, Clone)]
-pub struct SnapFaultReport {
-    /// Faults injected.
-    pub cases: u64,
-    /// Per-class injection counts, in [`FaultClass::ALL`] order.
-    pub per_class: Vec<(&'static str, u64)>,
-    /// Cases that ended in full recovery.
-    pub full_recoveries: u64,
-    /// Cases that ended in enumerated-and-repaired partial recovery.
-    pub partial_recoveries: u64,
-    /// Cases that ended in a typed error.
-    pub clean_errors: u64,
-    /// Contract violations (panic, silent corruption, unrepairable
-    /// loss), each with a seeded reproducer line. Empty on a clean run.
-    pub violations: Vec<String>,
-    /// Wall-clock seconds.
-    pub elapsed_secs: f64,
-    /// Seed base used (provenance / replay).
-    pub seed_base: u64,
-}
-
-impl SnapFaultReport {
-    /// True when every fault resolved inside the contract.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty()
+    fn run_case(&self, class: StorageFault, seed: u64) -> Result<Outcome, String> {
+        let mut rng = Rng::new(seed);
+        let (grid, f) = seeded_grid(&mut rng);
+        let write =
+            |sink: &mut dyn sg_io::SnapshotSink| write_snapshot(&grid, sink, "snapfault-gold");
+        let mut sink = MemorySink::new();
+        write(&mut sink).map_err(|e| e.to_string())?;
+        let gold = sink.into_published().expect("memory sink commits");
+        let bounds =
+            section_boundaries(&gold).map_err(|e| format!("gold bytes unreadable: {e}"))?;
+        let arm = match inject_storage(class, &gold, &bounds, &mut rng, write)? {
+            None => Arm::CleanError("write failed cleanly".into()),
+            Some(bytes) => check_recovery(&grid, &f, &bytes)?,
+        };
+        Ok(Outcome {
+            arm,
+            counts: Vec::new(),
+        })
     }
 }
 
@@ -132,121 +60,23 @@ impl SnapFaultReport {
 fn seeded_grid(rng: &mut Rng) -> (CompactGrid<f64>, impl Fn(&[f64]) -> f64 + Clone) {
     let d = rng.usize_in(1..=4);
     let levels = rng.usize_in(2..=6);
-    let coeffs: Vec<f64> = (0..d).map(|_| rng.f64_in(-2.0, 2.0)).collect();
-    let freq = rng.f64_in(1.0, 6.0);
-    let f = move |x: &[f64]| -> f64 {
-        let mut s = 0.0;
-        let mut p = 1.0;
-        for (t, &c) in coeffs.iter().enumerate() {
-            s += c * (freq * x[t]).sin();
-            p *= 4.0 * x[t] * (1.0 - x[t]);
-        }
-        s + p
-    };
+    let f = seeded_function(rng, d);
     let spec = GridSpec::new(d, levels);
     let mut grid = CompactGrid::from_fn(spec, |x| f(x));
     sg_core::hierarchize::hierarchize(&mut grid);
     (grid, f)
 }
 
-/// Inject the case's fault and return the bytes a reader would observe,
-/// or `None` when the fault correctly prevented publication (ENOSPC).
-/// Panics bubble to the harness's `catch_unwind`.
-fn inject(
-    class: FaultClass,
-    grid: &CompactGrid<f64>,
-    gold: &[u8],
-    rng: &mut Rng,
-) -> Result<Option<Vec<u8>>, String> {
-    let bounds = section_boundaries(gold).map_err(|e| format!("gold bytes unreadable: {e}"))?;
-    let header_len = bounds[0];
-    let sections_end = bounds[bounds.len() - 2];
-    match class {
-        FaultClass::TornSectionBoundary => {
-            // Tear at one of: end of header, end of each section.
-            let cut = bounds[rng.usize_in(0..=bounds.len() - 3)];
-            let mut sink = FaultSink::new(WriteFault::Torn { after_bytes: cut });
-            write_snapshot(grid, &mut sink, "snapfault-gold").map_err(|e| e.to_string())?;
-            Ok(sink.into_published())
-        }
-        FaultClass::TornMidSection => {
-            let s = rng.usize_in(0..=bounds.len() - 3);
-            let cut = rng.usize_in(bounds[s] + 1..=bounds[s + 1] - 1);
-            let mut sink = FaultSink::new(WriteFault::Torn { after_bytes: cut });
-            write_snapshot(grid, &mut sink, "snapfault-gold").map_err(|e| e.to_string())?;
-            Ok(sink.into_published())
-        }
-        FaultClass::BitFlip => {
-            let mut bytes = gold.to_vec();
-            let pos = rng.usize_in(0..=bytes.len() - 1);
-            bytes[pos] ^= 1 << rng.u8_in(0..=7);
-            Ok(Some(bytes))
-        }
-        FaultClass::Truncate => {
-            let cut = rng.usize_in(0..=gold.len() - 1);
-            Ok(Some(gold[..cut].to_vec()))
-        }
-        FaultClass::Enospc => {
-            let after = rng.usize_in(0..=gold.len() - 1);
-            let mut sink = FaultSink::new(WriteFault::Enospc { after_bytes: after });
-            match write_snapshot(grid, &mut sink, "snapfault-gold") {
-                Err(sg_core::error::SgError::Io(_)) => {}
-                other => {
-                    return Err(format!(
-                        "ENOSPC at byte {after} must fail with SgError::Io, got {other:?}"
-                    ))
-                }
-            }
-            if sink.committed() {
-                return Err(format!("ENOSPC at byte {after} still published a snapshot"));
-            }
-            Ok(None)
-        }
-        FaultClass::HeaderCorrupt => {
-            let mut bytes = gold.to_vec();
-            let pos = rng.usize_in(0..=header_len - 1);
-            bytes[pos] ^= 1 << rng.u8_in(0..=7);
-            Ok(Some(bytes))
-        }
-        FaultClass::FooterCorrupt => {
-            let mut bytes = gold.to_vec();
-            let pos = rng.usize_in(sections_end..=bytes.len() - 1);
-            bytes[pos] ^= 1 << rng.u8_in(0..=7);
-            Ok(Some(bytes))
-        }
-        FaultClass::LostDirent => {
-            // A fresh checkpoint of a *modified* grid commits, but its
-            // dirent is lost: the write must report success yet publish
-            // nothing, and the reader must fall back to the previous
-            // snapshot (`gold`), which recovers fully.
-            let mut newer = grid.clone();
-            for v in newer.values_mut() {
-                *v += 1.0;
-            }
-            let mut sink = FaultSink::new(WriteFault::LostDirent);
-            write_snapshot(&newer, &mut sink, "snapfault-lost-dirent")
-                .map_err(|e| e.to_string())?;
-            if !sink.committed() {
-                return Err("lost-dirent commit must report success to the writer".into());
-            }
-            if sink.into_published().is_some() {
-                return Err("lost-dirent fault must publish nothing".into());
-            }
-            Ok(Some(gold.to_vec()))
-        }
-    }
-}
-
 /// Recover `bytes` and check the detect-or-recover contract against the
-/// original grid. Returns the outcome or a violation description.
+/// original grid. Returns the arm or a violation description.
 fn check_recovery(
     grid: &CompactGrid<f64>,
     f: &(impl Fn(&[f64]) -> f64 + Clone),
     bytes: &[u8],
-) -> Result<FaultOutcome, String> {
+) -> Result<Arm, String> {
     let recovery = match recover_snapshot::<f64>(bytes) {
         Ok(r) => r,
-        Err(e) => return Ok(FaultOutcome::CleanError(e.to_string())),
+        Err(e) => return Ok(Arm::CleanError(e.to_string())),
     };
     // Silent-corruption check: every section claimed intact must be
     // bitwise identical to the original coefficients.
@@ -268,7 +98,7 @@ fn check_recovery(
         if recovery.grid.grid().values() != grid.values() {
             return Err("full recovery claimed but coefficients differ".into());
         }
-        return Ok(FaultOutcome::FullRecovery);
+        return Ok(Arm::FullRecovery);
     }
     // Partial recovery must be repairable bitwise from the original
     // function (hierarchization is deterministic).
@@ -278,80 +108,17 @@ fn check_recovery(
             "repair of lost groups {lost:?} did not reconstruct the original coefficients"
         ));
     }
-    Ok(FaultOutcome::PartialRecovery { lost_groups: lost })
-}
-
-/// Run one seeded fault-injection case. Exposed so failures can be
-/// replayed individually (`sgtool fuzz --snapshot-faults 1` with
-/// `SG_PROP_SEED`).
-pub fn run_case(class: FaultClass, seed: u64) -> Result<FaultOutcome, String> {
-    let mut rng = Rng::new(seed);
-    let (grid, f) = seeded_grid(&mut rng);
-    let mut sink = MemorySink::new();
-    write_snapshot(&grid, &mut sink, "snapfault-gold").map_err(|e| e.to_string())?;
-    let gold = sink.into_published().expect("memory sink commits");
-    match inject(class, &grid, &gold, &mut rng)? {
-        None => Ok(FaultOutcome::CleanError("write failed cleanly".into())),
-        Some(bytes) => check_recovery(&grid, &f, &bytes),
-    }
-}
-
-/// Inject `cases` faults (rotating through every [`FaultClass`]) and
-/// check the detect-or-recover contract on each. Panics inside the
-/// snapshot stack count as violations, not crashes.
-pub fn run_snapshot_faults(seed_base: u64, cases: u64) -> SnapFaultReport {
-    let started = Instant::now();
-    let mut report = SnapFaultReport {
-        cases: 0,
-        per_class: FaultClass::ALL.iter().map(|c| (c.name(), 0)).collect(),
-        full_recoveries: 0,
-        partial_recoveries: 0,
-        clean_errors: 0,
-        violations: Vec::new(),
-        elapsed_secs: 0.0,
-        seed_base,
-    };
-    for k in 0..cases {
-        let class = FaultClass::ALL[(k % FaultClass::ALL.len() as u64) as usize];
-        let seed = crate::case_seed(seed_base, k);
-        let outcome = panic::catch_unwind(panic::AssertUnwindSafe(|| run_case(class, seed)))
-            .unwrap_or_else(|payload| {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("non-string panic payload");
-                Err(format!("panicked: {msg}"))
-            });
-        report.cases += 1;
-        report.per_class[(k % FaultClass::ALL.len() as u64) as usize].1 += 1;
-        match outcome {
-            Ok(FaultOutcome::FullRecovery) => report.full_recoveries += 1,
-            Ok(FaultOutcome::PartialRecovery { .. }) => report.partial_recoveries += 1,
-            Ok(FaultOutcome::CleanError(_)) => report.clean_errors += 1,
-            Err(why) => {
-                report.violations.push(format!(
-                    "fault={} seed={seed:#x}: {why}\nreplay: SG_PROP_SEED={seed:#x} sgtool fuzz \
-                     --budget-cases 0 --sched-interleavings 0 --snapshot-faults 1",
-                    class.name()
-                ));
-                if report.violations.len() >= 5 {
-                    break;
-                }
-            }
-        }
-    }
-    report.elapsed_secs = started.elapsed().as_secs_f64();
-    report
+    Ok(Arm::PartialRecovery { lost })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::run_campaign;
 
     #[test]
     fn every_class_resolves_inside_the_contract() {
-        let report = run_snapshot_faults(0x5EED_0001, 80);
+        let report = run_campaign::<Snapshot>(0x5EED_0001, 80, None);
         assert!(report.clean(), "{:#?}", report.violations);
         assert_eq!(report.cases, 80);
         assert_eq!(
@@ -369,16 +136,22 @@ mod tests {
 
     #[test]
     fn cases_are_deterministic_in_the_seed() {
-        let a = run_case(FaultClass::BitFlip, 0x1234_5678).unwrap();
-        let b = run_case(FaultClass::BitFlip, 0x1234_5678).unwrap();
+        let a = Snapshot
+            .run_case(StorageFault::BitFlip, 0x1234_5678)
+            .unwrap();
+        let b = Snapshot
+            .run_case(StorageFault::BitFlip, 0x1234_5678)
+            .unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn enospc_never_publishes() {
         for k in 0..20 {
-            let outcome = run_case(FaultClass::Enospc, crate::case_seed(7, k)).unwrap();
-            assert!(matches!(outcome, FaultOutcome::CleanError(_)));
+            let outcome = Snapshot
+                .run_case(StorageFault::Enospc, crate::case_seed(7, k))
+                .unwrap();
+            assert!(matches!(outcome.arm, Arm::CleanError(_)));
         }
     }
 }

@@ -643,86 +643,134 @@ fn checkpoint_restore_verify_flow() {
     std::fs::remove_file(&restored).ok();
 }
 
-#[test]
-fn fuzz_snapshot_faults_writes_schema_complete_report() {
-    let json = temp_path("snapfault.json");
+/// Run `sgtool fuzz --faults SPEC` (no differential or schedule pass)
+/// and return its stdout and the campaign's `faults` report section.
+fn fault_campaign(spec: &str, seed_base: &str) -> (String, sg_json::Value) {
+    let json = temp_path(&format!(
+        "faults-{}.json",
+        spec.replace([':', '=', ','], "-")
+    ));
     let j = json.to_str().unwrap();
-    let o = sgtool(&[
+    let args = [
         "fuzz",
         "--budget-cases",
         "0",
         "--sched-interleavings",
         "0",
-        "--snapshot-faults",
-        "21",
+        "--faults",
+        spec,
+        "--seed-base",
+        seed_base,
         "--json",
         j,
-    ]);
-    assert!(o.status.success(), "{}", stderr(&o));
-    assert!(stdout(&o).contains("snapshot-faults: 21 injected"));
-
+    ];
+    let o = sgtool(&args);
+    assert!(o.status.success(), "{spec}: {}", stderr(&o));
     let doc = sg_json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
-    let sf = doc.get("snapshot_faults").expect("snapshot_faults section");
-    assert_eq!(sf.get("cases").and_then(|v| v.as_f64()), Some(21.0));
-    let full = sf.get("full_recoveries").and_then(|v| v.as_f64()).unwrap();
-    let partial = sf
-        .get("partial_recoveries")
-        .and_then(|v| v.as_f64())
-        .unwrap();
-    let clean = sf.get("clean_errors").and_then(|v| v.as_f64()).unwrap();
-    assert_eq!(full + partial + clean, 21.0, "every fault accounted for");
-    let violations = sf.get("violations").and_then(|v| v.as_array()).unwrap();
-    assert!(violations.is_empty(), "{violations:?}");
-    let per_class = sf.get("per_class").and_then(|v| v.as_object()).unwrap();
-    assert_eq!(per_class.len(), 8, "all eight fault classes injected");
-
     std::fs::remove_file(&json).ok();
+    let campaign = spec.split([':', '=']).next().unwrap();
+    let section = doc
+        .get("faults")
+        .and_then(|f| f.get(campaign))
+        .unwrap_or_else(|| panic!("faults.{campaign} section"))
+        .clone();
+    (stdout(&o), section)
+}
+
+/// The shared per-campaign report schema: every fault accounted for, no
+/// violations, the seed base stamped, the campaign's classes all listed.
+fn assert_campaign_schema(r: &sg_json::Value, cases: f64, classes: usize, seed_base: &str) {
+    let num = |k: &str| {
+        r.get(k)
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("{k}"))
+    };
+    assert_eq!(num("cases"), cases);
+    assert_eq!(
+        num("full_recoveries") + num("partial_recoveries") + num("clean_errors"),
+        cases,
+        "every fault accounted for"
+    );
+    assert_eq!(r.get("seed_base").and_then(|v| v.as_str()), Some(seed_base));
+    let violations = r.get("violations").and_then(|v| v.as_array()).unwrap();
+    assert!(violations.is_empty(), "{violations:?}");
+    let per_class = r.get("per_class").and_then(|v| v.as_object()).unwrap();
+    assert_eq!(per_class.len(), classes, "every class listed");
+    assert!(r.get("counts").and_then(|v| v.as_object()).is_some());
+}
+
+#[test]
+fn fuzz_snapshot_faults_writes_schema_complete_report() {
+    let (out, sf) = fault_campaign("snapshot=21", "0x5eed");
+    assert!(out.contains("snapshot faults: 21 injected"), "{out}");
+    assert_campaign_schema(&sf, 21.0, 8, "0x5eed");
 }
 
 #[test]
 fn fuzz_combination_faults_writes_schema_complete_report() {
-    let json = temp_path("combfault.json");
-    let j = json.to_str().unwrap();
-    let o = sgtool(&[
-        "fuzz",
-        "--budget-cases",
-        "0",
-        "--sched-interleavings",
-        "0",
-        "--combination-faults",
-        "30",
-        "--json",
-        j,
-    ]);
-    assert!(o.status.success(), "{}", stderr(&o));
-    assert!(stdout(&o).contains("combination-faults: 30 injected"));
-
-    let doc = sg_json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
-    let cf = doc
-        .get("combination_faults")
-        .expect("combination_faults section");
-    assert_eq!(cf.get("cases").and_then(|v| v.as_f64()), Some(30.0));
-    let full = cf.get("full_recoveries").and_then(|v| v.as_f64()).unwrap();
-    let partial = cf
-        .get("partial_recoveries")
-        .and_then(|v| v.as_f64())
-        .unwrap();
-    let clean = cf.get("clean_errors").and_then(|v| v.as_f64()).unwrap();
-    assert_eq!(full + partial + clean, 30.0, "every fault accounted for");
-    let recompute = cf.get("recompute_cases").and_then(|v| v.as_f64()).unwrap();
-    let reweight = cf.get("reweight_cases").and_then(|v| v.as_f64()).unwrap();
+    let (out, cf) = fault_campaign("combination=30", "0xc0ffee");
+    assert!(out.contains("combination faults: 30 injected"), "{out}");
+    // 8 storage classes + task-panic + dropped-pre-commit.
+    assert_campaign_schema(&cf, 30.0, 10, "0xc0ffee");
+    let counts = cf.get("counts").unwrap();
+    let recompute = counts.get("recompute").and_then(|v| v.as_f64()).unwrap();
+    let reweight = counts.get("reweight").and_then(|v| v.as_f64()).unwrap();
     assert_eq!(recompute + reweight, 30.0, "every case has a policy");
     assert!(recompute > 0.0 && reweight > 0.0, "both policies exercised");
-    let violations = cf.get("violations").and_then(|v| v.as_array()).unwrap();
-    assert!(violations.is_empty(), "{violations:?}");
-    let per_class = cf.get("per_class").and_then(|v| v.as_object()).unwrap();
-    assert_eq!(
-        per_class.len(),
-        10,
-        "8 storage classes + task-panic + dropped-pre-commit"
-    );
 
-    std::fs::remove_file(&json).ok();
+    // Malformed or retired fault flags are usage errors.
+    for bad in [
+        &["fuzz", "--faults", "combination:nope=1"][..],
+        &["fuzz", "--faults", "disk=1"],
+        &["fuzz", "--combination-faults", "1"],
+        &[
+            "combine", "run", "--dims", "2", "--level", "3", "--faults", "20",
+        ],
+    ] {
+        assert_eq!(exit_code(&sgtool(bad)), 2, "{bad:?}");
+    }
+}
+
+#[test]
+fn fault_reproducers_replay_exactly_the_failing_class_and_seed() {
+    // For each campaign, a class other than the first: the printed
+    // replay command must run exactly that class, once, at that seed.
+    for (campaign, class) in [
+        ("snapshot", "truncate"),
+        ("combination", "task-panic"),
+        ("serve", "stall"),
+    ] {
+        let seed = 0x1234_5678_9abc_u64;
+        let line = sg_fuzz::campaign::reproducer(campaign, class, seed);
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let (env_seed, argv) = match words.as_slice() {
+            ["replay:", env, "sgtool", rest @ ..] => {
+                (env.strip_prefix("SG_PROP_SEED=").unwrap(), rest)
+            }
+            _ => panic!("unexpected reproducer {line:?}"),
+        };
+        let spec = argv[argv.iter().position(|a| *a == "--faults").unwrap() + 1];
+        assert_eq!(spec, format!("{campaign}:{class}=1"));
+        let json = temp_path(&format!("replay-{campaign}.json"));
+        let mut args = argv.to_vec();
+        args.extend(["--json", json.to_str().unwrap()]);
+        let o = sgtool_env(&args, &[("SG_PROP_SEED", env_seed)]);
+        assert!(o.status.success(), "{line}: {}", stderr(&o));
+        let doc = sg_json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
+        std::fs::remove_file(&json).ok();
+        let r = doc.get("faults").and_then(|f| f.get(campaign)).unwrap();
+        assert_eq!(r.get("cases").and_then(|v| v.as_f64()), Some(1.0));
+        assert_eq!(
+            r.get("seed_base").and_then(|v| v.as_str()),
+            Some(format!("{seed:#x}").as_str()),
+            "case 0 runs the printed seed verbatim"
+        );
+        let per_class = r.get("per_class").and_then(|v| v.as_object()).unwrap();
+        for (name, count) in per_class {
+            let want = if name == class { 1.0 } else { 0.0 };
+            assert_eq!(count.as_f64(), Some(want), "{campaign}: class {name}");
+        }
+    }
 }
 
 #[test]
@@ -779,31 +827,6 @@ fn combine_run_cross_validates_and_verify_reads_the_manifest() {
         assert_eq!(exit_code(&o), 0, "{}", stderr(&o));
         assert!(stdout(&o).contains("components intact"), "{}", stdout(&o));
     }
-
-    // Injected faults under the default policy mix stay violation-free.
-    let o = sgtool(&[
-        "combine",
-        "run",
-        "--dims",
-        "2",
-        "--level",
-        "3",
-        "--faults",
-        "20",
-        "--seed-base",
-        "0xC0FFEE",
-        "--json",
-        j,
-    ]);
-    assert_eq!(exit_code(&o), 0, "{}", stderr(&o));
-    assert!(stdout(&o).contains("faults: 20 injected"), "{}", stdout(&o));
-    let doc = sg_json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
-    let faults = doc.get("faults").expect("faults section");
-    assert_eq!(faults.get("cases").and_then(|v| v.as_f64()), Some(20.0));
-    assert_eq!(
-        faults.get("seed_base").and_then(|v| v.as_str()),
-        Some("0xc0ffee")
-    );
 
     // A damaged manifest is corrupt data (3) with the lost components
     // named; a missing one is an I/O failure (4); bad flags are usage

@@ -135,10 +135,10 @@ fn recovered_runs_are_bitwise_identical_across_thread_counts_under_loss() {
 fn fault_harness_is_clean_in_the_telemetry_build() {
     // sg-apps builds sg-combination and sg-io with telemetry on; the
     // counters and spans must not perturb recovery behaviour.
-    let report = sg_fuzz::run_combination_faults(0x7E1E_F417, 60);
+    let report = sg_fuzz::run_campaign::<sg_fuzz::Combination>(0x7E1E_F417, 60, None);
     assert!(report.clean(), "{:#?}", report.violations);
     assert_eq!(report.cases, 60);
-    assert!(report.per_policy.0 > 0 && report.per_policy.1 > 0);
+    assert!(report.count("recompute") > 0 && report.count("reweight") > 0);
 }
 
 #[test]

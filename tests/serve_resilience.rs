@@ -1,7 +1,7 @@
 //! Serving-layer resilience, end to end over the wire: request
 //! deadlines, graceful drain, degraded-model serving with background
-//! repair, idle-connection reaping, client stall detection, and the
-//! pinned serve-chaos canary corpus.
+//! repair, idle-connection reaping, and client stall detection. (The
+//! serve fault campaign's canaries replay in `fuzz_regression.rs`.)
 //!
 //! Everything here drives a live in-process [`sg_serve::Server`] over
 //! real TCP loopback sockets — the same stack `sgd` runs — so the
@@ -379,36 +379,4 @@ fn client_times_out_against_a_stalled_server() {
     );
     drop(client);
     sink.join().unwrap();
-}
-
-/// Replay the pinned chaos corpus (`tests/corpus/serve_chaos_seeds.txt`)
-/// against a live daemon: every canary must stay inside the
-/// detect-or-recover contract.
-#[test]
-fn chaos_canary_corpus_replays_clean() {
-    use sg_fuzz::servechaos::{run_case, ChaosClass, ChaosFixture};
-    let corpus = include_str!("corpus/serve_chaos_seeds.txt");
-    let fixture = ChaosFixture::start(0x5EED_CA05).unwrap();
-    let mut replayed = 0usize;
-    for line in corpus.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (class_name, seed_hex) = line
-            .split_once(' ')
-            .unwrap_or_else(|| panic!("malformed corpus line {line:?}"));
-        let class = *ChaosClass::ALL
-            .iter()
-            .find(|c| c.name() == class_name)
-            .unwrap_or_else(|| panic!("unknown chaos class {class_name:?}"));
-        let seed = u64::from_str_radix(seed_hex.trim_start_matches("0x"), 16)
-            .unwrap_or_else(|e| panic!("bad seed in line {line:?}: {e}"));
-        if let Err(why) = run_case(&fixture, class, seed) {
-            panic!("canary {class_name} {seed_hex} violated the contract: {why}");
-        }
-        replayed += 1;
-    }
-    assert!(replayed >= 9, "corpus shrank to {replayed} canaries");
-    fixture.finish().unwrap();
 }
