@@ -15,7 +15,7 @@
 //! compositions, giving `O(d·n)` time with only `binmat` lookups.
 
 use crate::combinatorics::BinomialTable;
-use crate::iter::{decode_subspace_rank, encode_subspace_rank};
+use crate::iter::{decode_subspace_rank, encode_subspace_rank, walk_points};
 use crate::level::{GridSpec, Index, Level};
 #[allow(unused_imports)] // the import is "unused" when `telemetry` is off
 use crate::tel;
@@ -218,6 +218,25 @@ impl GridIndexer {
         decode_subspace_rank(l, index1, i);
     }
 
+    /// Visit the grid points with linear indices in `range`, in order,
+    /// as `f(l, i)`. One [`Self::idx2gp`] locates `range.start`; the
+    /// walk of [`crate::iter::for_each_point`] steps through the rest.
+    pub(crate) fn for_each_point_in(
+        &self,
+        range: std::ops::Range<u64>,
+        f: impl FnMut(&[Level], &[Index]),
+    ) {
+        if range.is_empty() {
+            return;
+        }
+        let d = self.spec.dim();
+        let mut l = vec![0 as Level; d];
+        let mut i = vec![0 as Index; d];
+        self.idx2gp(range.start, &mut l, &mut i);
+        let rank = encode_subspace_rank(&l, &i);
+        walk_points(l, rank, range.end - range.start, f);
+    }
+
     /// Convenience allocating variant of [`Self::idx2gp`].
     pub fn idx2gp_vec(&self, idx: u64) -> (Vec<Level>, Vec<Index>) {
         let d = self.spec.dim();
@@ -333,6 +352,28 @@ mod tests {
             ix.idx2gp(idx, &mut l, &mut i);
             assert!(spec.contains(&l, &i), "idx={idx} gave invalid point");
             assert_eq!(ix.gp2idx(&l, &i), idx);
+        }
+    }
+
+    #[test]
+    fn point_walk_from_any_start_matches_idx2gp() {
+        // Starts inside a subspace, on subspace and group boundaries,
+        // and runs to the end of the grid.
+        let spec = GridSpec::new(3, 5);
+        let ix = GridIndexer::new(spec);
+        let total = ix.num_points();
+        let mut l = vec![0; 3];
+        let mut i = vec![0; 3];
+        for start in 0..total {
+            for end in [start, (start + 37).min(total), total] {
+                let mut idx = start;
+                ix.for_each_point_in(start..end, |wl, wi| {
+                    ix.idx2gp(idx, &mut l, &mut i);
+                    assert_eq!((wl, wi), (&l[..], &i[..]), "start={start} idx={idx}");
+                    idx += 1;
+                });
+                assert_eq!(idx, end);
+            }
         }
     }
 

@@ -68,7 +68,9 @@ impl<T: Real> CompactGrid<T> {
     }
 
     /// Sample `f` at every grid point in parallel over contiguous chunks
-    /// of the coefficient array.
+    /// of the coefficient array. Each 1024-point chunk locates its first
+    /// point with one `idx2gp` and steps through the rest in storage
+    /// order; the samples are bitwise those of [`Self::from_fn`].
     pub fn from_fn_parallel(spec: GridSpec, f: impl Fn(&[f64]) -> T + Sync) -> Self {
         match Self::try_from_fn_parallel(spec, f) {
             Ok(g) => g,
@@ -94,17 +96,15 @@ impl<T: Real> CompactGrid<T> {
             "core.grid.sample",
             None,
             |ci, chunk| {
-                let mut l = vec![0 as Level; d];
-                let mut i = vec![0 as Index; d];
                 let mut coords = vec![0.0f64; d];
-                let base = ci * CHUNK;
-                for (k, v) in chunk.iter_mut().enumerate() {
-                    indexer.idx2gp((base + k) as u64, &mut l, &mut i);
+                let base = (ci * CHUNK) as u64;
+                let mut out = chunk.iter_mut();
+                indexer.for_each_point_in(base..base + out.len() as u64, |l, i| {
                     for t in 0..d {
                         coords[t] = coordinate(l[t], i[t]);
                     }
-                    *v = f(&coords);
-                }
+                    *out.next().expect("one slot per point") = f(&coords);
+                });
             },
         );
         Ok(grid)

@@ -19,8 +19,12 @@
 //! boundary cases, and those ancestors occupy contiguous storage — so
 //! each run is one vertical stencil `v[j] −= (L[j]+R[j])/2` over
 //! contiguous slices, dispatched through [`crate::kernel`] (AVX2/NEON
-//! when available, bitwise identical to scalar), with two `gp2idx`
-//! calls per run instead of two per point.
+//! when available, bitwise identical to scalar). Before each level group
+//! is swept in dimension `t`, the driver locates every subspace's parent
+//! subspaces once ([`crate::plan::ParentOffsets`], one `gp2idx` per
+//! subspace and parent level); each run's parent slots then follow by
+//! index arithmetic, so neither the runs nor the pool workers call the
+//! bijection.
 //!
 //! With the `telemetry` feature, every level-group sweep is timed into the
 //! spans `core.hierarchize.group_<n>` (n = level sum of the group) and the
@@ -37,6 +41,7 @@ use crate::bijection::GridIndexer;
 use crate::grid::CompactGrid;
 use crate::kernel::{self, KernelKind};
 use crate::level::{hierarchical_parent, Index, Level, Side};
+use crate::plan::ParentOffsets;
 use crate::real::Real;
 #[allow(unused_imports)] // the import is "unused" when `telemetry` is off
 use crate::tel;
@@ -138,17 +143,18 @@ fn stencil_run<T: Real>(
 /// Apply the dimension-`t` stencil to one subspace chunk, run by run.
 /// `lower` is the array prefix below the chunk's level group — every
 /// ancestor lives there, so the borrow is disjoint from `chunk` under
-/// both sweep drivers. Inlined into each driver: as an out-of-line call,
-/// the pooled d=10 level-7 sweep ran ~25% slower in telemetry builds on
-/// a 2-vCPU x86-64 host.
+/// both sweep drivers; `parents` are the subspace's parent offsets
+/// ([`ParentOffsets::get`]). Inlined into each driver: as an
+/// out-of-line call, the pooled d=10 level-7 sweep ran ~25% slower in
+/// telemetry builds on a 2-vCPU x86-64 host.
 #[inline(always)]
 fn sweep_subspace<T: Real>(
     kind: KernelKind,
     lower: &[T],
     chunk: &mut [T],
-    indexer: &GridIndexer,
     l: &[Level],
     t: usize,
+    parents: &[usize],
     add: bool,
 ) {
     // Subspaces with l[t] = 0 have both ancestors on the domain
@@ -156,7 +162,7 @@ fn sweep_subspace<T: Real>(
     if l[t] == 0 {
         return;
     }
-    crate::plan::for_each_pole_run(indexer, l, t, |run| {
+    crate::plan::for_each_pole_run(l, t, parents, |run| {
         let out = &mut chunk[run.rank0..run.rank0 + run.len];
         let left = run.left.map(|b| &lower[b..b + run.len]);
         let right = run.right.map(|b| &lower[b..b + run.len]);
@@ -166,8 +172,8 @@ fn sweep_subspace<T: Real>(
 
 /// In-place hierarchization, sequential (optimized traversal of Alg. 6:
 /// level groups descending, subspaces via the `next` iterator, the 1-d
-/// stencil applied as vertical pole runs — no per-point `idx2gp` or
-/// `gp2idx` calls).
+/// stencil applied as vertical pole runs — no per-point or per-run
+/// `idx2gp` or `gp2idx` calls).
 pub fn hierarchize<T: Real>(grid: &mut CompactGrid<T>) {
     sweep(grid, false, false);
 }
@@ -207,6 +213,7 @@ fn sweep<T: Real>(grid: &mut CompactGrid<T>, add: bool, pooled: bool) {
     let kind = kernel::active();
     let indexer = grid.indexer().clone();
     let values = grid.values_mut();
+    let mut parents = ParentOffsets::new(d);
     // Materialize each group's subspace level vectors once; they are the
     // same for every dimension pass.
     let group_levels: Vec<Vec<Vec<Level>>> = (0..spec.levels())
@@ -238,7 +245,8 @@ fn sweep<T: Real>(grid: &mut CompactGrid<T>, add: bool, pooled: bool) {
             let group = &mut rest[..group_end - group_start];
             let sub_len = 1usize << n;
             let levels = &group_levels[n];
-            let indexer = &indexer;
+            parents.build(&indexer, levels, t);
+            let parents = &parents;
             if pooled {
                 // Subspaces of fine groups are tiny (2^n points): hand the
                 // pool ~4096 points per claim so the shared-index atomic
@@ -252,11 +260,13 @@ fn sweep<T: Real>(grid: &mut CompactGrid<T>, add: bool, pooled: bool) {
                     (4096usize >> n).max(1),
                     region,
                     Some(("group", n as u64)),
-                    |k, chunk| sweep_subspace(kind, lower, chunk, indexer, &levels[k], t, add),
+                    |k, chunk| {
+                        sweep_subspace(kind, lower, chunk, &levels[k], t, parents.get(k), add)
+                    },
                 );
             } else {
                 for (k, chunk) in group.chunks_mut(sub_len).enumerate() {
-                    sweep_subspace(kind, lower, chunk, indexer, &levels[k], t, add);
+                    sweep_subspace(kind, lower, chunk, &levels[k], t, parents.get(k), add);
                 }
             }
             tel! {
@@ -278,8 +288,9 @@ fn sweep<T: Real>(grid: &mut CompactGrid<T>, add: bool, pooled: bool) {
 
 /// In-place parallel hierarchization: for each dimension, level groups are
 /// processed finest-to-coarsest with a barrier in between (the paper's CPU
-/// realization of the per-group kernel launches); inside a group,
-/// subspaces are distributed statically over threads.
+/// realization of the per-group kernel launches); inside a group, the
+/// sg-par pool workers claim subspaces dynamically, `max(4096 >> n, 1)`
+/// whole subspaces of group `n` per claim.
 pub fn hierarchize_parallel<T: Real>(grid: &mut CompactGrid<T>) {
     sweep(grid, false, true);
 }

@@ -144,17 +144,38 @@ pub fn encode_subspace_rank(l: &[Level], i: &[Index]) -> u64 {
 /// ascending, subspaces in enumeration order, points in `index1` order).
 /// The callback receives `(linear_index, l, i)`.
 pub fn for_each_point(spec: &GridSpec, mut f: impl FnMut(u64, &[Level], &[Index])) {
-    let d = spec.dim();
-    let mut i = vec![0 as Index; d];
     let mut idx = 0u64;
-    for n in 0..spec.levels() {
-        for_each_level(d, n, |l| {
-            for rank in 0..(1u64 << n) {
-                decode_subspace_rank(l, rank, &mut i);
-                f(idx, l, &i);
-                idx += 1;
+    walk_points(vec![0; spec.dim()], 0, spec.num_points(), |l, i| {
+        f(idx, l, i);
+        idx += 1;
+    });
+}
+
+/// Visit `count` consecutive grid points in `gp2idx` order, starting at
+/// in-subspace rank `rank` of subspace `l`: ranks ascend to `2^{|l|₁}`,
+/// then [`next_level`] moves to the next subspace, and past the last
+/// subspace of group `n` the walk continues at `first_level(n + 1)`.
+pub(crate) fn walk_points(
+    mut l: Vec<Level>,
+    mut rank: u64,
+    count: u64,
+    mut f: impl FnMut(&[Level], &[Index]),
+) {
+    let mut n: usize = l.iter().map(|&v| v as usize).sum();
+    let mut i = vec![0 as Index; l.len()];
+    for k in 0..count {
+        if k > 0 {
+            rank += 1;
+            if rank == 1 << n {
+                rank = 0;
+                if !next_level(&mut l) {
+                    n += 1;
+                    first_level(n, &mut l);
+                }
             }
-        });
+        }
+        decode_subspace_rank(&l, rank, &mut i);
+        f(&l, &i);
     }
 }
 

@@ -14,11 +14,14 @@
 //!   parent levels and the same boundary cases, and their parents
 //!   occupy **consecutive** storage slots (the trailing bits of the
 //!   child rank carry over unchanged to the parent rank). Each run is
-//!   therefore one vertical stencil over contiguous slices, found with
-//!   two `gp2idx` calls — per run, not per point.
+//!   therefore one vertical stencil over contiguous slices. The parent
+//!   subspaces' storage offsets are located once per (subspace, `t`) by
+//!   [`ParentOffsets`] — one `gp2idx` per parent level — and every run's
+//!   parent slots follow from them by shifts and ors, so the runs
+//!   themselves make no bijection call.
 
 use crate::bijection::GridIndexer;
-use crate::iter::{decode_subspace_rank, first_level, next_level};
+use crate::iter::{first_level, next_level};
 use crate::level::{hierarchical_parent, GridSpec, Index, Level, Side};
 #[allow(unused_imports)] // the import is "unused" when `telemetry` is off
 use crate::tel;
@@ -119,53 +122,107 @@ pub(crate) struct PoleRun {
     pub right: Option<usize>,
 }
 
-/// Decompose subspace `l` into its dimension-`t` pole runs.
+/// Storage offsets of the dimension-`t` parent subspaces of every
+/// subspace in one level group: for subspace `k` with level vector `l`,
+/// [`Self::get`]`(k)[pl]` is the offset of `l` with `l_t ← pl`, for
+/// each `pl < l_t`. A sweep allocates one (its scratch sized by `d`)
+/// and rebuilds it for each (dimension, group) pair before the group's
+/// subspaces are handed out, so pool workers read it and never call the
+/// bijection.
+#[derive(Debug)]
+pub(crate) struct ParentOffsets {
+    /// Level-vector scratch: `l` with `l_t` replaced.
+    l: Vec<Level>,
+    /// The all-ones index vector, whose in-subspace rank is 0.
+    ones: Vec<Index>,
+    /// Subspace `k`'s offsets are `offsets[starts[k]..starts[k + 1]]`.
+    starts: Vec<usize>,
+    offsets: Vec<usize>,
+}
+
+impl ParentOffsets {
+    pub(crate) fn new(d: usize) -> Self {
+        ParentOffsets {
+            l: vec![0; d],
+            ones: vec![1; d],
+            starts: Vec::new(),
+            offsets: Vec::new(),
+        }
+    }
+
+    /// Locate the dimension-`t` parent subspaces of each of `levels`
+    /// (one level group, in enumeration order): one `gp2idx` of the
+    /// all-ones index per (subspace, parent level).
+    pub(crate) fn build(&mut self, indexer: &GridIndexer, levels: &[Vec<Level>], t: usize) {
+        self.starts.clear();
+        self.offsets.clear();
+        for l in levels {
+            self.starts.push(self.offsets.len());
+            self.l.copy_from_slice(l);
+            for pl in 0..l[t] {
+                self.l[t] = pl;
+                self.offsets
+                    .push(indexer.gp2idx(&self.l, &self.ones) as usize);
+            }
+        }
+        self.starts.push(self.offsets.len());
+    }
+
+    /// Parent-subspace offsets of subspace `k`, indexed by parent level.
+    #[inline(always)]
+    pub(crate) fn get(&self, k: usize) -> &[usize] {
+        &self.offsets[self.starts[k]..self.starts[k + 1]]
+    }
+}
+
+/// Decompose subspace `l` into its dimension-`t` pole runs, in rank
+/// order, given its parent-subspace offsets `parents` (from
+/// [`ParentOffsets::get`]).
+///
+/// A rank splits as `hi | k | lo` with `l_{<t}`, `l_t` and `l_{>t}`
+/// bits. The run `(hi, k)` starts at `((hi << l_t) | k) << trail` and
+/// holds `i_t = 2k+1`; its parent `(pl, pi)` keeps `hi` and `lo`, so
+/// the parent run starts at `parents[pl] + (((hi << pl) | (pi−1)/2) <<
+/// trail)`.
 ///
 /// Requires `l[t] != 0` (subspaces with `l[t] = 0` have both ancestors
 /// on the boundary and are skipped by the sweeps).
+#[inline(always)]
 pub(crate) fn for_each_pole_run(
-    indexer: &GridIndexer,
     l: &[Level],
     t: usize,
+    parents: &[usize],
     mut f: impl FnMut(PoleRun),
 ) {
-    debug_assert!(l[t] != 0);
-    let d = l.len();
+    let lt = l[t];
+    debug_assert!(lt != 0);
+    debug_assert_eq!(parents.len(), lt as usize);
+    let head: u32 = l[..t].iter().map(|&v| v as u32).sum();
     let trail: u32 = l[t + 1..].iter().map(|&v| v as u32).sum();
-    let n: u32 = l.iter().map(|&v| v as u32).sum();
-    let stride = 1usize << trail;
-    let lead_count = 1u64 << (n - trail);
-    let mut i = vec![0 as Index; d];
-    let mut l2 = l.to_vec();
-    for lead in 0..lead_count {
-        let rank0 = lead << trail;
-        // At the run start every trailing bit is zero, so i_u = 1 for
-        // all u > t; the leading dims (and i_t) come from `lead`.
-        decode_subspace_rank(l, rank0, &mut i);
-        let (lt, it) = (l[t], i[t]);
-        let mut bases = [None, None];
-        for (b, side) in bases.iter_mut().zip([Side::Left, Side::Right]) {
-            if let Some((pl, pi)) = hierarchical_parent(lt, it, side) {
-                l2[t] = pl;
-                i[t] = pi;
-                *b = Some(indexer.gp2idx(&l2, &i) as usize);
-                l2[t] = lt;
-                i[t] = it;
-            }
+    let len = 1usize << trail;
+    for hi in 0..1usize << head {
+        for k in 0..1usize << lt {
+            let it = (2 * k + 1) as Index;
+            let parent = |side| {
+                hierarchical_parent(lt, it, side).map(|(pl, pi)| {
+                    let pk = (pi as usize - 1) >> 1;
+                    parents[pl as usize] + (((hi << pl) | pk) << trail)
+                })
+            };
+            f(PoleRun {
+                rank0: ((hi << lt) | k) << trail,
+                len,
+                left: parent(Side::Left),
+                right: parent(Side::Right),
+            });
         }
-        f(PoleRun {
-            rank0: rank0 as usize,
-            len: stride,
-            left: bases[0],
-            right: bases[1],
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iter::{encode_subspace_rank, for_each_level};
+    use crate::iter::{decode_subspace_rank, encode_subspace_rank, for_each_level};
 
     #[test]
     fn plan_matches_the_live_walk() {
@@ -207,46 +264,59 @@ mod tests {
 
     #[test]
     fn pole_runs_cover_each_subspace_and_parents_are_contiguous() {
-        let spec = GridSpec::new(3, 5);
-        let indexer = GridIndexer::new(spec);
-        for n in 0..spec.levels() {
-            for_each_level(spec.dim(), n, |l| {
-                for t in 0..spec.dim() {
-                    if l[t] == 0 {
-                        continue;
-                    }
-                    let mut covered = vec![false; 1usize << n];
-                    for_each_pole_run(&indexer, l, t, |run| {
-                        let mut i = vec![0 as Index; spec.dim()];
-                        for o in 0..run.len {
-                            let rank = (run.rank0 + o) as u64;
-                            assert!(!covered[rank as usize]);
-                            covered[rank as usize] = true;
-                            // Cross-check each run slot against the
-                            // per-point parent located from scratch.
-                            decode_subspace_rank(l, rank, &mut i);
-                            let mut l2 = l.to_vec();
-                            let mut i2 = i.clone();
-                            for (side, base) in [(Side::Left, run.left), (Side::Right, run.right)] {
-                                match hierarchical_parent(l[t], i[t], side) {
-                                    None => assert!(base.is_none()),
-                                    Some((pl, pi)) => {
-                                        l2[t] = pl;
-                                        i2[t] = pi;
-                                        let want = indexer.gp2idx(&l2, &i2) as usize;
-                                        assert_eq!(base.unwrap() + o, want);
-                                        l2[t] = l[t];
-                                        i2[t] = i[t];
+        // Levels 7–8 give parent levels up to 6 under non-zero leading
+        // bits; d = 40 would overrun any fixed-size per-dimension scratch.
+        let shapes = [(1, 8), (2, 8), (3, 7), (5, 5), (10, 5), (40, 2)];
+        for (d, levels) in shapes {
+            let spec = GridSpec::new(d, levels);
+            let indexer = GridIndexer::new(spec);
+            let mut parents = ParentOffsets::new(d);
+            let mut i = vec![0 as Index; d];
+            for n in 0..spec.levels() {
+                let group: Vec<Vec<Level>> = crate::iter::LevelIter::new(d, n).collect();
+                for t in 0..d {
+                    parents.build(&indexer, &group, t);
+                    for (k, l) in group.iter().enumerate() {
+                        if l[t] == 0 {
+                            assert!(parents.get(k).is_empty());
+                            continue;
+                        }
+                        // Runs come in rank order and tile the subspace.
+                        let mut next = 0usize;
+                        for_each_pole_run(l, t, parents.get(k), |run| {
+                            assert_eq!(run.rank0, next, "d={d} l={l:?} t={t}");
+                            next += run.len;
+                            for o in 0..run.len {
+                                let rank = (run.rank0 + o) as u64;
+                                // Cross-check each run slot against the
+                                // per-point parent located from scratch.
+                                decode_subspace_rank(l, rank, &mut i);
+                                assert_eq!(encode_subspace_rank(l, &i), rank);
+                                let mut l2 = l.clone();
+                                let mut i2 = i.clone();
+                                for (side, base) in
+                                    [(Side::Left, run.left), (Side::Right, run.right)]
+                                {
+                                    match hierarchical_parent(l[t], i[t], side) {
+                                        None => assert!(base.is_none()),
+                                        Some((pl, pi)) => {
+                                            l2[t] = pl;
+                                            i2[t] = pi;
+                                            let want = indexer.gp2idx(&l2, &i2) as usize;
+                                            assert_eq!(
+                                                base.unwrap() + o,
+                                                want,
+                                                "d={d} l={l:?} t={t} rank={rank} {side:?}"
+                                            );
+                                        }
                                     }
                                 }
                             }
-                            // Rank round-trips (sanity on the decode).
-                            assert_eq!(encode_subspace_rank(l, &i), rank);
-                        }
-                    });
-                    assert!(covered.iter().all(|&c| c));
+                        });
+                        assert_eq!(next, 1usize << n, "d={d} l={l:?} t={t}");
+                    }
                 }
-            });
+            }
         }
     }
 }

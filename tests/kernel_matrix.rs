@@ -7,7 +7,9 @@
 //! a SIMD extension `detect()` degrades to the scalar kernel and the
 //! matrix passes trivially (the CI AVX2 leg provides the real coverage).
 
+use sg_core::hierarchize::hierarchize_alg6_literal;
 use sg_core::kernel::{detect, parse_select, with_kernel, KernelError, KernelKind, KernelSelect};
+use sg_core::level::{hierarchical_parent, Side};
 use sg_core::prelude::*;
 
 /// Thread-count changes are process-global; the sweeps that touch them
@@ -92,49 +94,110 @@ fn evaluation_matrix_is_bitwise_identical_across_kernels_and_threads() {
     sg_par::set_num_threads(1);
 }
 
+/// The inverse of Alg. 6 transcribed point by point: per dimension, last
+/// first, in ascending linear index, add the half-sum of the two 1-d
+/// ancestors located with `idx2gp`/`gp2idx`. Same operation order as
+/// the sweeps' stencil, so they must match it bitwise.
+fn dehierarchize_literal(grid: &mut CompactGrid<f64>) {
+    let d = grid.spec().dim();
+    let indexer = grid.indexer().clone();
+    let values = grid.values_mut();
+    let (mut l, mut i) = (vec![0; d], vec![0; d]);
+    for t in (0..d).rev() {
+        for j in 0..values.len() {
+            indexer.idx2gp(j as u64, &mut l, &mut i);
+            let (lt, it) = (l[t], i[t]);
+            let mut acc = 0.0;
+            for side in [Side::Left, Side::Right] {
+                if let Some((pl, pi)) = hierarchical_parent(lt, it, side) {
+                    l[t] = pl;
+                    i[t] = pi;
+                    acc += values[indexer.gp2idx(&l, &i) as usize];
+                }
+            }
+            values[j] += acc * 0.5;
+        }
+    }
+}
+
 #[test]
 fn hierarchization_matrix_is_bitwise_identical_across_kernels_and_threads() {
     let _lock = threads_lock();
     let simd = detect();
-    for d in 1..=5usize {
-        let levels = if d <= 3 { 5 } else { 3 };
+    // d = 8 and 10 at level 4 have subspaces with non-zero level bits
+    // both before and after the sweep dimension, so pole runs repeat
+    // over leading bits and span several trailing slots; d = 2 and 3 at
+    // levels 8 and 7 reach parent levels up to 6 under leading bits.
+    let shapes = [(1, 5), (2, 8), (3, 7), (4, 3), (5, 3), (8, 4), (10, 4)];
+    for (d, levels) in shapes {
         let spec = GridSpec::new(d, levels);
         let nodal = CompactGrid::from_fn(spec, |x| {
             x.iter().map(|&v| (4.0 * v).sin() + v * v).sum::<f64>()
         });
-        // Reference: sequential sweeps under the forced scalar kernel.
-        let reference = with_kernel(KernelSelect::Force(KernelKind::Scalar), || {
-            let mut g = nodal.clone();
-            hierarchize(&mut g);
-            g
-        });
+        // References: Alg. 6 and its inverse, point by point.
+        let mut reference = nodal.clone();
+        hierarchize_alg6_literal(&mut reference);
+        let mut nodal_back = reference.clone();
+        dehierarchize_literal(&mut nodal_back);
         for threads in [1usize, 2, 8] {
             sg_par::set_num_threads(threads);
             for sel in [
                 KernelSelect::Force(KernelKind::Scalar),
                 KernelSelect::Force(simd),
             ] {
-                let (seq, par, back) = with_kernel(sel, || {
+                let [seq, par, back_seq, back_par] = with_kernel(sel, || {
                     let mut seq = nodal.clone();
                     hierarchize(&mut seq);
                     let mut par = nodal.clone();
                     hierarchize_parallel(&mut par);
-                    let mut back = seq.clone();
-                    dehierarchize_parallel(&mut back);
-                    (seq, par, back)
+                    let mut back_seq = reference.clone();
+                    dehierarchize(&mut back_seq);
+                    let mut back_par = reference.clone();
+                    dehierarchize_parallel(&mut back_par);
+                    [seq, par, back_seq, back_par]
                 });
-                let what = format!("d={d} threads={threads} {sel:?}");
+                let what = format!("d={d} L={levels} threads={threads} {sel:?}");
                 assert_bitwise(seq.values(), reference.values(), &format!("{what} seq"));
                 assert_bitwise(par.values(), reference.values(), &format!("{what} par"));
-                // Dehierarchization under the same kernel must bitwise
-                // reproduce the forced-scalar sequential inverse.
-                let expect = with_kernel(KernelSelect::Force(KernelKind::Scalar), || {
-                    let mut g = reference.clone();
-                    dehierarchize(&mut g);
-                    g
-                });
-                assert_bitwise(back.values(), expect.values(), &format!("{what} dehier"));
+                let back = nodal_back.values();
+                assert_bitwise(back_seq.values(), back, &format!("{what} dehier seq"));
+                assert_bitwise(back_par.values(), back, &format!("{what} dehier par"));
             }
+        }
+    }
+    sg_par::set_num_threads(1);
+}
+
+#[test]
+fn parallel_sampling_is_bitwise_identical_to_sequential_across_threads() {
+    let _lock = threads_lock();
+    // The sampler walks 1024-point chunks. Group and subspace offsets
+    // are odd (the root point precedes them), so every chunk after the
+    // first starts inside a subspace. These shapes give chunks that
+    // cross subspace and level-group boundaries, chunks that lie inside
+    // one subspace of 1024+ points (d = 2), ragged last chunks, and a
+    // grid smaller than one chunk (d = 4, level 3: 49 points).
+    let shapes = [(2, 12), (3, 9), (10, 5), (4, 3)];
+    for (d, levels) in shapes {
+        let spec = GridSpec::new(d, levels);
+        let f = |x: &[f64]| {
+            x.iter()
+                .enumerate()
+                .map(|(t, &v)| (t as f64 + 1.0) * v + (3.0 * v).sin())
+                .sum::<f64>()
+        };
+        let f32_of = |x: &[f64]| f(x) as f32;
+        let want = CompactGrid::from_fn(spec, f);
+        let want32 = CompactGrid::from_fn(spec, f32_of);
+        for threads in [1usize, 2, 8] {
+            sg_par::set_num_threads(threads);
+            let what = format!("d={d} L={levels} threads={threads}");
+            let got = CompactGrid::from_fn_parallel(spec, f);
+            assert_bitwise(got.values(), want.values(), &format!("{what} f64"));
+            let got32 = CompactGrid::from_fn_parallel(spec, f32_of);
+            let bits =
+                |g: &CompactGrid<f32>| g.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got32), bits(&want32), "{what} f32");
         }
     }
     sg_par::set_num_threads(1);
