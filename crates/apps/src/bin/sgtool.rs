@@ -175,14 +175,18 @@ const USAGE: &str = "usage:
                   a fixed cadence into a lock-free ring, then writes the
                   self-describing time-series — schema with metric
                   name/kind/unit plus one frame per sample — as JSON)
-  sgtool gate EXPERIMENT [more ...] [--results DIR] [--window N]
-              [--min-runs N] [--k FACTOR] [--rel-floor FRAC] [--json PATH]
-                  (perf-regression sentry: reads results/BENCH_<name>.json
-                  trajectories, fits a median ± k*MAD noise band per metric
-                  over the trailing window — defaults window 20, min-runs
-                  5, k 6.0, rel-floor 0.10 — and exits 1 with a one-line
-                  REGRESSION diagnosis when the newest run breaches it;
-                  histories shorter than min-runs always pass)
+  sgtool gate [--baseline FILE] CURRENT [more ...] [--json PATH]
+                  (perf gate over perfbench stdout: each metric of each
+                  CURRENT report is compared only with baseline runs of an
+                  equal key (workload key plus seed, seconds, trace),
+                  using its own unit and better; ./BENCHMARK.json names
+                  the gated end-to-end metrics and their bounds, band
+                  median +- max(6*MAD, bound*|median|); per-layer metrics
+                  and ungated workloads print as info; the baseline
+                  defaults to crates/bench/baseline/<machine-class>.jsonl
+                  and without one every metric reads no_baseline; exit 1
+                  on a regression or an incorrect run, 3 on malformed
+                  input or a unit/direction mismatch)
   sgtool divergence [--dims D] [--level L] [--function NAME] [--points K]
                     [--machine NAME] [--top N] [--out REPORT.json]
                   (model-vs-measured: times each hierarchize/evaluate
@@ -194,14 +198,15 @@ const USAGE: &str = "usage:
                   (nehalem | opteron | opteron-aggregate | tiny), top 3)
   sgtool combine run --dims D --level L [--function NAME]
                      [--policy recompute|reweight] [--spare-diagonals S]
-                     [--queries K] [--out MANIFEST] [--json PATH] [--bench]
+                     [--queries K] [--out MANIFEST] [--json PATH]
                   (fault-tolerant combination-technique executor: samples
                   every component grid as an independent task, checkpoints
                   the set through an SGCM manifest, recovers the run from
                   the manifest, and cross-validates the combined
                   interpolant against the direct sparse grid to 1e-9;
-                  --bench appends results/BENCH_combine.json; injected
-                  faults run under `sgtool fuzz --faults combination=N`)
+                  --json also records compute_s, recover_s, crossval_s;
+                  injected faults run under
+                  `sgtool fuzz --faults combination=N`)
   sgtool combine verify MANIFEST
                   (per-component integrity table of an SGCM component-set
                   manifest; exit 0 intact, 3 damaged)
@@ -245,10 +250,7 @@ environment:
                         avx2, neon; unknown or unavailable values exit 2;
                         the dispatched kernel is stamped into provenance
   SG_PAR_THREADS        worker-thread count for the parallel sweeps
-  SG_FLIGHT_CAPACITY    ring capacity (frames) of the flight recorder
-  SG_GATE_BASELINE      when set, `sgtool gate` reports regressions but
-                        exits 0 — acknowledge an intentional perf change
-                        while the trajectory re-baselines";
+  SG_FLIGHT_CAPACITY    ring capacity (frames) of the flight recorder";
 
 fn flag(args: &[String], key: &str) -> Option<String> {
     args.iter()
@@ -546,7 +548,7 @@ fn cmd_combine_run(args: &[String]) -> Result<(), CliError> {
     let components = exec
         .compute_components(|x| f.eval(x))
         .map_err(|e| CliError::from(format!("component sampling failed: {e}")))?;
-    let compute_secs = t0.elapsed().as_secs_f64();
+    let compute_s = t0.elapsed().as_secs_f64();
     let mut sink = sg_io::MemorySink::new();
     exec.checkpoint(&components, &mut sink, None)
         .map_err(|e| CliError::from(format!("cannot checkpoint components: {e}")))?;
@@ -572,7 +574,7 @@ fn cmd_combine_run(args: &[String]) -> Result<(), CliError> {
             SgError::Io(_) => CliError::io(format!("cannot recover run: {e}")),
             other => CliError::from(format!("cannot recover run: {other}")),
         })?;
-    let recover_secs = t1.elapsed().as_secs_f64();
+    let recover_s = t1.elapsed().as_secs_f64();
     println!(
         "combine run: {} d={d} level {level} policy={} — {} tasks ({} spare), outcome {:?}",
         f.name(),
@@ -595,7 +597,7 @@ fn cmd_combine_run(args: &[String]) -> Result<(), CliError> {
     for x in xs.chunks_exact(d) {
         max_diff = max_diff.max((run.grid.evaluate(x) - evaluate(&direct, x)).abs());
     }
-    let crossval_secs = t2.elapsed().as_secs_f64();
+    let crossval_s = t2.elapsed().as_secs_f64();
     let tolerance = 1e-9 * scale;
     let cross_validated = max_diff <= tolerance;
     println!(
@@ -603,17 +605,6 @@ fn cmd_combine_run(args: &[String]) -> Result<(), CliError> {
          (tolerance {tolerance:.3e}) — {}",
         if cross_validated { "ok" } else { "FAILED" }
     );
-
-    if args.iter().any(|a| a == "--bench") {
-        let traj = vec![
-            ("compute_s".to_string(), compute_secs),
-            ("recover_s".to_string(), recover_secs),
-            ("crossval_s".to_string(), crossval_secs),
-        ];
-        if let Err(e) = sg_bench::trajectory::record_run_scalars("combine", &traj) {
-            eprintln!("warning: could not record BENCH_combine.json: {e}");
-        }
-    }
 
     if let Some(path) = flag(args, "--json") {
         let mut doc = sg_json::json!({
@@ -635,9 +626,9 @@ fn cmd_combine_run(args: &[String]) -> Result<(), CliError> {
             "max_abs_diff": max_diff,
             "tolerance": tolerance,
             "cross_validated": cross_validated,
-            "compute_secs": compute_secs,
-            "recover_secs": recover_secs,
-            "crossval_secs": crossval_secs
+            "compute_s": compute_s,
+            "recover_s": recover_s,
+            "crossval_s": crossval_s
         });
         doc["provenance"] = sg_telemetry::provenance(&["telemetry"]);
         std::fs::write(&path, format!("{}\n", doc.to_string_pretty()))
@@ -1112,77 +1103,90 @@ fn cmd_flight(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Perf-regression sentry over `results/BENCH_<name>.json` trajectories.
+/// Perf gate: perfbench reports against the committed baseline of this
+/// machine class, gating the metrics `BENCHMARK.json` lists.
 fn cmd_gate(args: &[String]) -> Result<(), CliError> {
-    let mut cfg = sg_bench::gate::GateConfig::default();
-    if let Some(w) = flag(args, "--window") {
-        cfg.window = w.parse().map_err(|e| format!("bad --window: {e}"))?;
+    use sg_bench::gate;
+    let read = |path: &str| {
+        std::fs::read_to_string(path).map_err(|e| CliError::io(format!("cannot read {path}: {e}")))
+    };
+    let mut iter = args.iter();
+    while let Some(a) = iter.next() {
+        let takes_path = matches!(a.as_str(), "--baseline" | "--json" | "--metrics-json");
+        if (takes_path && iter.next().is_none_or(|v| v.starts_with("--")))
+            || (!takes_path && a.starts_with("--"))
+        {
+            return Err(CliError::usage(format!(
+                "bad gate flag {a} (expected --baseline FILE or --json PATH)"
+            )));
+        }
     }
-    if let Some(m) = flag(args, "--min-runs") {
-        cfg.min_runs = m.parse().map_err(|e| format!("bad --min-runs: {e}"))?;
-    }
-    if let Some(k) = flag(args, "--k") {
-        cfg.k = k.parse().map_err(|e| format!("bad --k: {e}"))?;
-    }
-    if let Some(r) = flag(args, "--rel-floor") {
-        cfg.rel_floor = r.parse().map_err(|e| format!("bad --rel-floor: {e}"))?;
-    }
-    let results = flag(args, "--results").unwrap_or_else(|| "results".into());
-    let names = positional(args);
-    if names.is_empty() {
+    let files = positional(args);
+    if files.is_empty() {
         return Err(CliError::usage(
-            "missing experiment name(s), e.g. `sgtool gate fig9_hierarchize`",
+            "missing perfbench output file(s), e.g. `sgtool gate bench-compress.out`",
         ));
     }
-
-    let baseline_override = std::env::var("SG_GATE_BASELINE").is_ok_and(|v| !v.is_empty());
-    let mut reports = Vec::new();
-    let mut failed = 0usize;
-    for name in &names {
-        let path = std::path::Path::new(&results).join(format!("BENCH_{name}.json"));
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| CliError::io(format!("cannot read {}: {e}", path.display())))?;
-        let report = sg_bench::gate::analyze_trajectory_text(&text, &cfg)
-            .map_err(|e| CliError::corrupt(format!("bad trajectory {}: {e}", path.display())))?;
-        println!("gate {name} ({} runs):", report.runs);
-        for m in &report.metrics {
-            println!("  {}", m.diagnosis());
+    let policy = gate::Policy::parse(&read("BENCHMARK.json")?)
+        .map_err(|e| CliError::corrupt(format!("bad BENCHMARK.json: {e}")))?;
+    let class = gate::machine_class();
+    let default = gate::baseline_path(&class);
+    let baseline_path = flag(args, "--baseline").unwrap_or_else(|| default.clone());
+    let text = match std::fs::read_to_string(&baseline_path) {
+        Ok(text) => text,
+        // No baseline for this machine class: every metric reads no_baseline.
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound && baseline_path == default => {
+            String::new()
         }
-        if !report.passed() {
-            failed += 1;
+        Err(e) => return Err(CliError::io(format!("cannot read {baseline_path}: {e}"))),
+    };
+    let baseline = gate::parse_runs(&text)
+        .map_err(|e| CliError::corrupt(format!("bad baseline {baseline_path}: {e}")))?;
+    let mut current = Vec::new();
+    for file in &files {
+        let runs = gate::parse_runs(&read(file)?)
+            .map_err(|e| CliError::corrupt(format!("bad report {file}: {e}")))?;
+        if runs.is_empty() {
+            return Err(CliError::corrupt(format!("{file}: no perfbench report")));
         }
-        reports.push(report);
+        current.extend(runs);
     }
-
+    let gates = gate::gate(&policy, &baseline, &current);
+    println!(
+        "gate: {} run(s) against {baseline_path} ({} run(s), machine class {class}):",
+        current.len(),
+        baseline.len()
+    );
+    for g in &gates {
+        println!("  {}", g.diagnosis());
+    }
+    let mismatched = gates.iter().filter(|g| g.verdict.is_mismatch()).count();
+    let failed = gates.iter().filter(|g| g.verdict.fails()).count();
     if let Some(path) = flag(args, "--json") {
         let mut doc = sg_json::json!({
-            "passed": failed == 0,
-            "baseline_override": baseline_override,
-            "experiments": reports.iter().map(|r| r.to_json()).collect::<Vec<_>>()
+            "passed": mismatched + failed == 0,
+            "machine_class": class.clone(),
+            "baseline": baseline_path.clone(),
+            "baseline_runs": baseline.len(),
+            "metrics": gates.iter().map(|g| g.to_json()).collect::<Vec<_>>()
         });
         doc["provenance"] = sg_telemetry::provenance(&["telemetry"]);
         std::fs::write(&path, format!("{}\n", doc.to_string_pretty()))
             .map_err(|e| CliError::io(format!("cannot write gate report to {path}: {e}")))?;
     }
-
-    if failed > 0 {
-        let total: usize = reports.iter().map(|r| r.regressions().count()).sum();
-        if baseline_override {
-            println!(
-                "SG_GATE_BASELINE set: accepting {total} regression(s) across \
-                 {failed} experiment(s) as the new baseline"
-            );
-            return Ok(());
-        }
-        return Err(CliError::from(format!(
-            "perf gate failed: {total} metric regression(s) across {failed} of {} experiment(s)",
-            names.len()
+    if mismatched > 0 {
+        return Err(CliError::corrupt(format!(
+            "perf gate: {mismatched} metric(s) disagree with the baseline or BENCHMARK.json \
+             on unit or direction"
         )));
     }
-    println!(
-        "perf gate passed: {} experiment(s) within their noise bands",
-        names.len()
-    );
+    if failed > 0 {
+        return Err(CliError::from(format!(
+            "perf gate failed: {failed} of {} metric(s) regressed or came from an incorrect run",
+            gates.len()
+        )));
+    }
+    println!("perf gate passed: {} metric(s)", gates.len());
     Ok(())
 }
 

@@ -89,7 +89,6 @@ fn main() {
     );
     let simd = detect();
     let mut raw = Vec::new();
-    let mut traj: Vec<(String, f64)> = Vec::new();
 
     for d in 1..=dmax {
         let spec = GridSpec::new(d, level);
@@ -186,12 +185,6 @@ fn main() {
             "simd_hier_speedup": simd_hier_speedup,
             "simd_eval_speedup": simd_eval_speedup,
         }));
-        traj.push((format!("d{d}/gpu_hier_s"), hier_report.time.total));
-        traj.push((format!("d{d}/gpu_eval_s"), eval_report.time.total));
-        traj.push((format!("d{d}/seq_host_hier_s"), t_host_hier));
-        traj.push((format!("d{d}/seq_host_eval_s"), t_host_eval));
-        traj.push((format!("d{d}/simd_hier_speedup"), simd_hier_speedup));
-        traj.push((format!("d{d}/simd_eval_speedup"), simd_eval_speedup));
         eprintln!("d={d} done");
     }
 
@@ -266,8 +259,5 @@ fn main() {
     match report::save_json("fig10_speedup", &json) {
         Ok(p) => println!("saved {}", p.display()),
         Err(e) => eprintln!("could not save JSON record: {e}"),
-    }
-    if let Err(e) = sg_bench::trajectory::record_run_scalars("fig10_speedup", &traj) {
-        eprintln!("could not update trajectory: {e}");
     }
 }

@@ -61,7 +61,6 @@ fn main() {
         ],
     );
     let mut raw = Vec::new();
-    let mut traj: Vec<(String, f64)> = Vec::new();
 
     for kind in StoreKind::ALL {
         // --- Measured sequential times on the host.
@@ -131,8 +130,6 @@ fn main() {
             "cores": &cores[..],
             "hier_speedups": hier_curve, "eval_speedups": eval_curve,
         }));
-        traj.push((format!("{}/seq_hier_s", kind.label()), t_hier));
-        traj.push((format!("{}/seq_eval_s", kind.label()), t_eval));
         eprintln!("{} done", kind.label());
     }
 
@@ -155,8 +152,5 @@ fn main() {
     match report::save_json("fig11_scalability", &json) {
         Ok(p) => println!("saved {}", p.display()),
         Err(e) => eprintln!("could not save JSON record: {e}"),
-    }
-    if let Err(e) = sg_bench::trajectory::record_run_scalars("fig11_scalability", &traj) {
-        eprintln!("could not update trajectory: {e}");
     }
 }

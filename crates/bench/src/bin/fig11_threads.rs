@@ -13,7 +13,6 @@
 //! Usage: `fig11_threads [--level 6] [--dims 5] [--evals 2000]
 //!                       [--repeats 5] [--max-threads 8]`
 
-use sg_bench::trajectory::MetricStats;
 use sg_bench::{report, Args, Table};
 use sg_core::functions::{halton_points, TestFunction};
 use sg_core::grid::CompactGrid;
@@ -47,7 +46,6 @@ fn main() {
         ],
     );
     let mut raw = Vec::new();
-    let mut traj: Vec<(String, MetricStats)> = Vec::new();
     let mut reference: Option<(Vec<u64>, Vec<u64>)> = None;
     let mut base = (0.0f64, 0.0f64);
 
@@ -76,28 +74,26 @@ fn main() {
             }
         }
 
-        let hier = MetricStats::from_samples(&hier_samples).unwrap();
-        let eval = MetricStats::from_samples(&eval_samples).unwrap();
+        let hier_p50 = sg_bench::median(hier_samples.clone());
+        let eval_p50 = sg_bench::median(eval_samples.clone());
         if p == 1 {
-            base = (hier.p50, eval.p50);
+            base = (hier_p50, eval_p50);
         }
         table.add_row(vec![
             p.to_string(),
-            format!("{:.3}", hier.p50 * 1e3),
-            format!("{:.2}", base.0 / hier.p50),
-            format!("{:.3}", eval.p50 * 1e3),
-            format!("{:.2}", base.1 / eval.p50),
+            format!("{:.3}", hier_p50 * 1e3),
+            format!("{:.2}", base.0 / hier_p50),
+            format!("{:.3}", eval_p50 * 1e3),
+            format!("{:.2}", base.1 / eval_p50),
         ]);
         raw.push(sg_json::json!({
             "threads": p,
             "hier_samples_s": &hier_samples[..],
             "eval_samples_s": &eval_samples[..],
-            "hier_p50_s": hier.p50, "eval_p50_s": eval.p50,
-            "hier_speedup": base.0 / hier.p50,
-            "eval_speedup": base.1 / eval.p50,
+            "hier_p50_s": hier_p50, "eval_p50_s": eval_p50,
+            "hier_speedup": base.0 / hier_p50,
+            "eval_speedup": base.1 / eval_p50,
         }));
-        traj.push((format!("p{p}/hier_s"), hier));
-        traj.push((format!("p{p}/eval_s"), eval));
         eprintln!("p={p} done (pool workers: {})", sg_par::pool_workers());
     }
 
@@ -122,8 +118,5 @@ fn main() {
     match report::save_json("fig11_threads", &json) {
         Ok(p) => println!("saved {}", p.display()),
         Err(e) => eprintln!("could not save JSON record: {e}"),
-    }
-    if let Err(e) = sg_bench::trajectory::record_run("fig11_threads", &traj) {
-        eprintln!("could not update trajectory: {e}");
     }
 }

@@ -68,7 +68,6 @@ fn main() {
         ],
     );
     let mut raw = Vec::new();
-    let mut traj: Vec<(String, f64)> = Vec::new();
 
     for d in dmin..=dmax {
         let spec = GridSpec::new(d, level);
@@ -122,8 +121,6 @@ fn main() {
                 "d": d, "kind": kind.label(),
                 "hierarchize_s": t_hier_only, "eval_per_point_s": t_eval,
             }));
-            traj.push((format!("d{d}/{}/hierarchize_s", kind.label()), t_hier_only));
-            traj.push((format!("d{d}/{}/eval_per_point_s", kind.label()), t_eval));
         }
         hier.add_row(hier_cells);
         eval.add_row(eval_cells);
@@ -180,8 +177,6 @@ fn main() {
             "eval_scalar_per_point_s": es, "eval_simd_per_point_s": ev,
             "simd_eval_speedup": eval_speedup,
         }));
-        traj.push((format!("d{d}/compact/simd_hier_speedup"), hier_speedup));
-        traj.push((format!("d{d}/compact/simd_eval_speedup"), eval_speedup));
         eprintln!("d={d} done");
     }
 
@@ -205,8 +200,5 @@ fn main() {
     match report::save_json("fig9_sequential", &json) {
         Ok(p) => println!("saved {}", p.display()),
         Err(e) => eprintln!("could not save JSON record: {e}"),
-    }
-    if let Err(e) = sg_bench::trajectory::record_run_scalars("fig9_sequential", &traj) {
-        eprintln!("could not update trajectory: {e}");
     }
 }

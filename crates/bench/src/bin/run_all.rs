@@ -1,7 +1,8 @@
 //! Run every experiment binary in sequence with (optionally quick)
 //! settings, regenerating all paper tables and figures. Each experiment
-//! appends to its `results/BENCH_<name>.json` trajectory record, so a
-//! second invocation prints per-metric deltas against the first.
+//! overwrites its `results/<name>.json` record (the numbers EXPERIMENTS.md
+//! quotes). Performance regressions are gated on perfbench reports by
+//! `sgtool gate`, not on these records.
 //!
 //! Usage: `run_all [--quick]`
 //!

@@ -18,16 +18,16 @@
 //! retry/timeout/reconnect/backoff counts measure the daemon's
 //! resilience envelope, not just its happy path.
 //!
-//! Results land in `results/BENCH_serve.json` (latency distribution,
-//! throughput, retry/timeout/backoff/degraded counts, swap count) for
-//! `sgtool gate serve`.
+//! Results land in `results/serve_load.json` (latency distribution,
+//! throughput, retry/timeout/backoff/degraded counts, swap count, run
+//! provenance). The gated serving benchmark is perfbench's `serve_bulk`
+//! workload; this generator is the hot-swap smoke test.
 //!
 //! Usage: `serve_load [--connect HOST:PORT] [--models 4] [--rate 1000]
 //!         [--duration-ms 2000] [--conns 4] [--points 8] [--dims 3]
 //!         [--level 5] [--zipf 1.0] [--swap-every-ms 0]`
 
-use sg_bench::trajectory::MetricStats;
-use sg_bench::Args;
+use sg_bench::{report, Args};
 use sg_core::grid::CompactGrid;
 use sg_core::hierarchize::hierarchize;
 use sg_core::level::GridSpec;
@@ -235,24 +235,26 @@ fn main() {
         std::fs::remove_file(p).ok();
     }
 
-    let mut metrics = Vec::new();
-    if let Some(stats) = MetricStats::from_samples(&latencies) {
-        metrics.push(("latency".to_string(), stats));
-    }
-    for (name, v) in [
-        ("throughput_rps", throughput),
-        ("overload_retries", retried as f64),
-        ("timeouts", retry.timeouts as f64),
-        ("reconnects", retry.reconnects as f64),
-        ("backoff_ms", retry.backoff_ms as f64),
-        ("degraded_serves", degraded as f64),
-        ("swaps", swaps as f64),
-    ] {
-        if let Some(stats) = MetricStats::from_samples(&[v]) {
-            metrics.push((name.to_string(), stats));
-        }
-    }
-    let out_path = sg_bench::trajectory::record_run("serve", &metrics).expect("recording run");
+    // Nearest-rank latency quantiles, seconds.
+    latencies.sort_by(f64::total_cmp);
+    let rank = |q: f64| {
+        let i = ((q * latencies.len() as f64).ceil() as usize).max(1) - 1;
+        latencies.get(i).copied().unwrap_or(0.0)
+    };
+    let mut doc = sg_json::json!({
+        "experiment": "serve_load", "models": models, "rate_rps": rate,
+        "duration_ms": duration_ms, "conns": conns, "points": points, "dims": dims,
+        "level": level, "zipf_s": zipf_s, "swap_every_ms": swap_every_ms,
+        "requests": latencies.len(), "failed": failed, "throughput_rps": throughput,
+        "overload_retries": retried, "timeouts": retry.timeouts,
+        "reconnects": retry.reconnects, "backoff_ms": retry.backoff_ms,
+        "degraded_serves": degraded, "swaps": swaps,
+    });
+    doc["latency_s"] = sg_json::json!({
+        "p50": rank(0.50), "p90": rank(0.90), "p99": rank(0.99),
+        "min": rank(0.0), "max": rank(1.0),
+    });
+    let out_path = report::save_json("serve_load", &doc).expect("recording run");
 
     println!(
         "serve_load: {} requests over {wall:.2}s ({throughput:.0} rps), {} models, zipf s={zipf_s}",

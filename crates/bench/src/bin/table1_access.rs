@@ -53,7 +53,6 @@ fn main() {
         ],
     );
     let mut raw = Vec::new();
-    let mut traj: Vec<(String, f64)> = Vec::new();
 
     for kind in StoreKind::ALL {
         let mut store = AnyStore::new(kind, spec);
@@ -94,7 +93,6 @@ fn main() {
             "ns_per_access": ns_per_access,
             "dram_lines_per_access": lines_per_access,
         }));
-        traj.push((format!("{}/access_s", kind.label()), ns_per_access * 1e-9));
         eprintln!("{} done", kind.label());
     }
 
@@ -114,8 +112,5 @@ fn main() {
     match report::save_json("table1_access", &json) {
         Ok(p) => println!("saved {}", p.display()),
         Err(e) => eprintln!("could not save JSON record: {e}"),
-    }
-    if let Err(e) = sg_bench::trajectory::record_run_scalars("table1_access", &traj) {
-        eprintln!("could not update trajectory: {e}");
     }
 }

@@ -21,8 +21,7 @@
 //!
 //! Command line: any free argument is a substring filter on
 //! `group/benchmark` names; `--quick` caps sampling at 3 runs; the
-//! `--bench` flag cargo passes is ignored. `SG_BENCH_SAMPLES` overrides
-//! every group's sample size.
+//! `--bench` flag cargo passes is ignored.
 
 use crate::report::{save_json, Table};
 use sg_json::{json, Value};
@@ -39,8 +38,6 @@ struct Record {
     min_s: f64,
     /// Elements processed per invocation, for throughput reporting.
     elements: Option<u64>,
-    /// Every timed sample, for trajectory percentiles.
-    times_s: Vec<f64>,
     /// Instrument delta attributable to this benchmark's reps alone
     /// (`snapshot_delta` against a baseline captured before the timed
     /// loop), so repetitions don't smear into whole-process totals.
@@ -97,11 +94,8 @@ impl Harness {
     }
 
     fn effective_samples(&self, group_samples: usize) -> usize {
-        let n = std::env::var("SG_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(group_samples);
-        if self.quick { n.min(3) } else { n }.max(1)
+        let cap = if self.quick { 3 } else { usize::MAX };
+        group_samples.clamp(1, cap)
     }
 
     /// Print the results table and save the JSON record.
@@ -139,10 +133,7 @@ impl Harness {
                 "samples": r.samples,
                 "median_s": r.median_s,
                 "min_s": r.min_s,
-                "elements": match r.elements {
-                    Some(n) => Value::from(n),
-                    None => Value::Null,
-                },
+                "elements": r.elements.map_or(Value::Null, Value::from),
             });
             if let Some(delta) = &r.telemetry_delta {
                 entry["telemetry_delta"] = delta.clone();
@@ -159,18 +150,6 @@ impl Harness {
         match save_json(&format!("bench_{}", self.name), &record) {
             Ok(p) => println!("saved {}", p.display()),
             Err(e) => eprintln!("could not save JSON record: {e}"),
-        }
-        let metrics: Vec<(String, crate::trajectory::MetricStats)> = self
-            .records
-            .iter()
-            .filter_map(|r| {
-                crate::trajectory::MetricStats::from_samples(&r.times_s)
-                    .map(|s| (format!("{}/{}", r.group, r.id), s))
-            })
-            .collect();
-        match crate::trajectory::record_run(&format!("bench_{}", self.name), &metrics) {
-            Ok(p) => println!("trajectory updated: {}", p.display()),
-            Err(e) => eprintln!("could not update trajectory: {e}"),
         }
     }
 }
@@ -236,7 +215,6 @@ impl Group<'_> {
             median_s,
             min_s: times[0],
             elements: self.elements,
-            times_s: times,
             telemetry_delta,
         };
         eprintln!(

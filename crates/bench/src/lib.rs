@@ -12,7 +12,6 @@ pub mod gate;
 pub mod harness;
 pub mod report;
 pub mod runner;
-pub mod trajectory;
 
 pub use args::Args;
 pub use report::Table;
@@ -45,7 +44,12 @@ pub fn time_once(mut f: impl FnMut()) -> f64 {
 /// Median wall time over `n` invocations.
 pub fn time_median(n: usize, mut f: impl FnMut()) -> f64 {
     assert!(n >= 1);
-    let mut samples: Vec<f64> = (0..n).map(|_| time_once(&mut f)).collect();
+    median((0..n).map(|_| time_once(&mut f)).collect())
+}
+
+/// Median of a non-empty sample set (the upper middle one for even
+/// counts).
+pub fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }

@@ -28,16 +28,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if no rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with aligned columns.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
@@ -87,6 +77,15 @@ impl Table {
     }
 }
 
+/// Features compiled into this bench build, for provenance.
+fn enabled_features() -> &'static [&'static str] {
+    if cfg!(feature = "telemetry") {
+        &["telemetry"]
+    } else {
+        &[]
+    }
+}
+
 /// Write a JSON experiment record to `results/<name>.json` (directory
 /// created on demand), stamping run provenance (git SHA, UTC timestamp,
 /// thread count, features, machine model) into the record so every
@@ -97,7 +96,7 @@ pub fn save_json(name: &str, value: &Value) -> std::io::Result<PathBuf> {
     let path = dir.join(format!("{name}.json"));
     let mut record = value.clone();
     if let Value::Object(_) = &record {
-        record["provenance"] = sg_telemetry::provenance(&crate::trajectory::enabled_features());
+        record["provenance"] = sg_telemetry::provenance(enabled_features());
     }
     let mut f = std::fs::File::create(&path)?;
     writeln!(f, "{}", record.to_string_pretty())?;
@@ -118,7 +117,7 @@ mod tests {
         let lines: Vec<&str> = r.lines().collect();
         // Header and rows share the same width.
         assert_eq!(lines[1].len(), lines[3].len());
-        assert_eq!(t.len(), 2);
+        assert_eq!(lines.len(), 5);
     }
 
     #[test]

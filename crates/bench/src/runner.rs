@@ -39,17 +39,6 @@ impl AnyStore {
         }
     }
 
-    /// The kind tag.
-    pub fn kind(&self) -> StoreKind {
-        match self {
-            AnyStore::Compact(_) => StoreKind::Compact,
-            AnyStore::StdMap(_) => StoreKind::StdMap,
-            AnyStore::EnhMap(_) => StoreKind::EnhancedMap,
-            AnyStore::EnhHash(_) => StoreKind::EnhancedHash,
-            AnyStore::PrefixTree(_) => StoreKind::PrefixTree,
-        }
-    }
-
     /// Populate with nodal values of `f`.
     pub fn fill(&mut self, f: impl FnMut(&[f64]) -> f64) {
         match self {
@@ -131,7 +120,6 @@ mod tests {
         let mut reference: Option<CompactGrid<f64>> = None;
         for kind in StoreKind::ALL {
             let mut s = AnyStore::new(kind, spec);
-            assert_eq!(s.kind(), kind);
             s.fill(|x| f.eval(x));
             s.hierarchize_seq();
             let snap = s.to_compact();

@@ -1,105 +1,144 @@
-//! Integration tests for the BENCH trajectory lifecycle: append-with-cap
-//! retention, provenance presence, and how the regression gate treats
-//! the files `record_run_in` actually writes (including short
-//! histories, which must pass).
+//! The perf gate against the recorded history it reads in practice: the
+//! committed baseline (concatenated perfbench output, as recorded by
+//! `perfbench/run.py … | tail -n 2 >> FILE`) and the gated metrics of
+//! the repository's own `BENCHMARK.json`.
 
-use std::path::PathBuf;
+use sg_bench::gate::{gate, parse_runs, MetricGate, Policy, Verdict};
+use sg_json::Value;
 
-use sg_bench::gate::{analyze_trajectory_text, GateConfig, GateStatus};
-use sg_bench::trajectory::{record_run_in, MetricStats, MAX_RUNS};
+const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sg-bench-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn policy() -> Policy {
+    let text = std::fs::read_to_string(format!("{ROOT}/BENCHMARK.json")).unwrap();
+    Policy::parse(&text).unwrap()
 }
 
-fn metrics(p50: f64) -> Vec<(String, MetricStats)> {
-    vec![(
-        "d5/compact/hierarchize_s".to_string(),
-        MetricStats::from_samples(&[p50]).unwrap(),
-    )]
+/// The committed baseline, whichever machine class it was recorded on.
+fn recorded() -> String {
+    let dir = format!("{ROOT}/crates/bench/baseline");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
+        .collect();
+    files.sort();
+    std::fs::read_to_string(files.first().expect("a committed baseline")).unwrap()
 }
 
-#[test]
-fn append_caps_at_max_runs_and_keeps_newest() {
-    let dir = temp_dir("cap");
-    // Write MAX_RUNS + 6 runs with a recognizable ramp of p50 values.
-    for i in 0..MAX_RUNS + 6 {
-        record_run_in(&dir, "captest", &metrics(1.0e-3 + i as f64 * 1.0e-6)).unwrap();
-    }
-    let text = std::fs::read_to_string(dir.join("BENCH_captest.json")).unwrap();
-    let doc = sg_json::parse(&text).unwrap();
-    let runs = doc["runs"].as_array().unwrap();
-    assert_eq!(runs.len(), MAX_RUNS);
-    // The oldest 6 were drained: the first surviving run is run #6.
-    let first = runs[0]["metrics"]["d5/compact/hierarchize_s"]["p50_s"]
-        .as_f64()
-        .unwrap();
-    assert!((first - (1.0e-3 + 6.0e-6)).abs() < 1e-12);
-    let last = runs[MAX_RUNS - 1]["metrics"]["d5/compact/hierarchize_s"]["p50_s"]
-        .as_f64()
-        .unwrap();
-    assert!((last - (1.0e-3 + (MAX_RUNS + 5) as f64 * 1.0e-6)).abs() < 1e-12);
-    let _ = std::fs::remove_dir_all(&dir);
+/// The newest recorded `compress` run: its report line and result line,
+/// as `tail -n 2` appends them.
+fn newest_compress(history: &str) -> (Value, String) {
+    let lines: Vec<&str> = history.lines().collect();
+    let at = lines
+        .iter()
+        .rposition(|l| {
+            let doc = sg_json::parse(l).unwrap();
+            doc.get("report")
+                .and_then(|r| r.get("key"))
+                .and_then(|k| k.get("workload"))
+                .and_then(Value::as_str)
+                == Some("compress")
+        })
+        .expect("a recorded compress run");
+    (
+        sg_json::parse(lines[at]).unwrap(),
+        lines[at + 1].to_string(),
+    )
 }
 
-#[test]
-fn every_appended_run_carries_provenance() {
-    let dir = temp_dir("prov");
-    for _ in 0..3 {
-        record_run_in(&dir, "provtest", &metrics(2.5e-3)).unwrap();
-    }
-    let text = std::fs::read_to_string(dir.join("BENCH_provtest.json")).unwrap();
-    let doc = sg_json::parse(&text).unwrap();
-    assert_eq!(doc["experiment"], "provtest");
-    for run in doc["runs"].as_array().unwrap() {
-        let prov = &run["provenance"];
-        assert!(
-            prov["timestamp_utc"].as_str().is_some(),
-            "missing timestamp"
-        );
-        assert!(prov["threads"].as_f64().is_some(), "missing threads");
-        assert!(prov.get("git_sha").is_some(), "missing git_sha");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+/// The run `(report, result)` with `metric` scaled by `by`.
+fn scaled(report: &Value, result: &str, metric: &str, by: f64) -> String {
+    let mut inner = report.get("report").unwrap().clone();
+    let metrics: Vec<Value> = inner
+        .get("metrics")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .map(|m| {
+            let mut m = m.clone();
+            if m.get("name").and_then(Value::as_str) == Some(metric) {
+                let v = m.get("value").and_then(Value::as_f64).unwrap();
+                m.set("value", Value::from(v * by));
+            }
+            m
+        })
+        .collect();
+    inner.set("metrics", Value::Array(metrics));
+    let mut doc = report.clone();
+    doc.set("report", inner);
+    format!("{doc}\n{result}\n")
 }
 
-#[test]
-fn gate_passes_on_short_histories_written_by_record_run() {
-    let dir = temp_dir("short");
-    let cfg = GateConfig::default();
-    // 1..4 runs: always Insufficient, always passes — even when the
-    // newest run is absurdly slow.
-    for i in 0..cfg.min_runs - 1 {
-        let p50 = if i == cfg.min_runs - 2 { 10.0 } else { 1.0e-3 };
-        record_run_in(&dir, "shorttest", &metrics(p50)).unwrap();
-        let text = std::fs::read_to_string(dir.join("BENCH_shorttest.json")).unwrap();
-        let rep = analyze_trajectory_text(&text, &cfg).unwrap();
-        assert!(rep.passed(), "run {} should pass", i + 1);
-        assert!(rep
-            .metrics
-            .iter()
-            .all(|m| matches!(m.status, GateStatus::Insufficient)));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+fn find<'a>(gates: &'a [MetricGate], metric: &str) -> &'a MetricGate {
+    gates
+        .iter()
+        .find(|g| g.to_json()["metric"] == metric)
+        .unwrap()
 }
 
 #[test]
 fn gate_catches_regression_in_recorded_trajectory() {
-    let dir = temp_dir("regress");
-    let cfg = GateConfig::default();
-    for _ in 0..8 {
-        record_run_in(&dir, "regresstest", &metrics(1.0e-3)).unwrap();
-    }
-    let path = dir.join("BENCH_regresstest.json");
-    let rep = analyze_trajectory_text(&std::fs::read_to_string(&path).unwrap(), &cfg).unwrap();
-    assert!(rep.passed(), "clean trajectory must pass");
+    let history = recorded();
+    let baseline = parse_runs(&history).unwrap();
+    let (report, result) = newest_compress(&history);
 
-    record_run_in(&dir, "regresstest", &metrics(1.0e-2)).unwrap(); // 10×
-    let rep = analyze_trajectory_text(&std::fs::read_to_string(&path).unwrap(), &cfg).unwrap();
-    assert!(!rep.passed());
-    let m = rep.regressions().next().unwrap();
-    assert!(matches!(m.status, GateStatus::Regressed { factor, .. } if factor > 9.0));
-    let _ = std::fs::remove_dir_all(&dir);
+    // The recorded run itself sits inside its own history's band.
+    let same = parse_runs(&scaled(&report, &result, "pts_per_s", 1.0)).unwrap();
+    for g in gate(&policy(), &baseline, &same) {
+        assert!(
+            !g.verdict.fails() && !g.verdict.is_mismatch(),
+            "{}",
+            g.diagnosis()
+        );
+    }
+
+    // A tenfold throughput drop is caught, with its factor.
+    let slow = parse_runs(&scaled(&report, &result, "pts_per_s", 0.1)).unwrap();
+    let gates = gate(&policy(), &baseline, &slow);
+    let g = find(&gates, "pts_per_s");
+    match g.verdict {
+        Verdict::Regressed { factor } => assert!(factor > 9.0, "factor {factor}"),
+        ref other => panic!("expected a regression, got {other:?}"),
+    }
+    assert!(
+        g.diagnosis().starts_with("REGRESSION compress/pts_per_s:"),
+        "{}",
+        g.diagnosis()
+    );
+    assert!(g.to_json()["n"].as_u64().unwrap() >= 5);
+}
+
+#[test]
+fn gate_passes_on_short_histories_written_by_record_run() {
+    let (report, result) = newest_compress(&recorded());
+    let run = scaled(&report, &result, "pts_per_s", 1.0);
+    let current = parse_runs(&run).unwrap();
+
+    // An empty history: every metric is no_baseline, and nothing fails.
+    let gates = gate(&policy(), &[], &current);
+    assert!(!gates.is_empty());
+    for g in &gates {
+        assert_eq!(g.verdict, Verdict::NoBaseline, "{}", g.diagnosis());
+    }
+
+    // A history of one recorded run (one `tail -n 2 >>` append): MAD is
+    // zero, the BENCHMARK.json bound sets the band, and the same run
+    // passes rather than reading as a regression.
+    let one = parse_runs(&run).unwrap();
+    let gates = gate(&policy(), &one, &current);
+    for g in &gates {
+        assert!(
+            !g.verdict.fails() && !g.verdict.is_mismatch(),
+            "{}",
+            g.diagnosis()
+        );
+        assert_eq!(g.to_json()["n"], 1u64, "{}", g.diagnosis());
+    }
+    assert_eq!(find(&gates, "pts_per_s").verdict, Verdict::Ok);
+    // Within the bound (0.25 for pts_per_s) a noisy second run passes too.
+    let noisy = parse_runs(&scaled(&report, &result, "pts_per_s", 0.8)).unwrap();
+    assert_eq!(
+        find(&gate(&policy(), &one, &noisy), "pts_per_s").verdict,
+        Verdict::Ok
+    );
 }

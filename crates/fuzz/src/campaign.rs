@@ -72,8 +72,10 @@ pub trait FaultCampaign: Sized {
     const COUNTS: &'static [&'static str] = &[];
     /// Stable class name (report keys, CLI, corpus).
     fn class_name(class: Self::Class) -> &'static str;
-    /// Set up whatever every case shares (e.g. a live daemon).
-    fn start(seed_base: u64) -> Result<Self, String>;
+    /// Set up whatever every case shares (e.g. a live daemon). It takes
+    /// no seed: a one-class replay of case k (seed base = case k's seed)
+    /// must run against the same shared state as the full run did.
+    fn start() -> Result<Self, String>;
     /// Tear the shared state down; an error is a violation.
     fn finish(self) -> Result<(), String> {
         Ok(())
@@ -159,7 +161,7 @@ pub fn run_campaign<C: FaultCampaign>(
         Some(i) => vec![i],
         None => (0..C::CLASSES.len()).collect(),
     };
-    let campaign = match C::start(seed_base) {
+    let campaign = match C::start() {
         Ok(c) => c,
         Err(why) => {
             report.violations.push(format!("start failed: {why}"));

@@ -65,7 +65,7 @@ impl FaultCampaign for Combination {
         }
     }
 
-    fn start(_seed_base: u64) -> Result<Combination, String> {
+    fn start() -> Result<Combination, String> {
         Ok(Combination)
     }
 

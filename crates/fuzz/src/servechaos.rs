@@ -29,7 +29,7 @@ use sg_serve::protocol::parse_error;
 use sg_serve::{Client, Engine, Fleet, RetryPolicy, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,6 +38,9 @@ use std::time::{Duration, Instant};
 const CLIENT_IO: Duration = Duration::from_millis(200);
 /// Proxy stall duration — comfortably past the client limit.
 const STALL: Duration = Duration::from_millis(450);
+/// Seed of the served model. Fixed, not drawn from the seed base, so a
+/// one-class replay of any case runs against the same model.
+const MODEL_SEED: u64 = 0xC4A0_5EED;
 /// Bound on how long the daemon may take to answer-or-close a
 /// malformed byte stream before the case counts as a hang.
 const REACTION_LIMIT: Duration = Duration::from_secs(2);
@@ -122,9 +125,10 @@ impl FaultCampaign for Serve {
         }
     }
 
-    /// Build a seeded model, snapshot it, and start the daemon.
-    fn start(seed: u64) -> Result<Serve, String> {
-        let mut rng = Rng::new(seed);
+    /// Build the model from [`MODEL_SEED`], snapshot it, and start the
+    /// daemon.
+    fn start() -> Result<Serve, String> {
+        let mut rng = Rng::new(MODEL_SEED);
         let dim = rng.usize_in(2..=3);
         let levels = rng.usize_in(3..=4);
         let freq = rng.f64_in(1.0, 5.0);
@@ -136,9 +140,11 @@ impl FaultCampaign for Serve {
             s
         });
         sg_core::hierarchize::hierarchize(&mut grid);
+        static STARTS: AtomicU64 = AtomicU64::new(0);
         let snap_path = std::env::temp_dir().join(format!(
-            "sg-servechaos-{}-{seed:016x}.sgcs",
-            std::process::id()
+            "sg-servechaos-{}-{}.sgcs",
+            std::process::id(),
+            STARTS.fetch_add(1, Ordering::Relaxed)
         ));
         sg_io::write_snapshot_file(&grid, &snap_path, "servechaos").map_err(|e| e.to_string())?;
         let fleet = Fleet::new(4);
@@ -600,7 +606,7 @@ fn encode_raw_eval_frame(model: &str, xs: &[f64], npoints: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::{run_campaign, CampaignReport};
 
     #[test]
     fn every_class_resolves_inside_the_contract() {
@@ -621,8 +627,42 @@ mod tests {
     }
 
     #[test]
+    fn one_class_replay_of_case_k_matches_case_k_of_the_full_run() {
+        // The printed replay line reruns case k as case 0 of a one-class
+        // run whose seed base is case k's seed; the served model must not
+        // depend on that base, or the replay runs against another model.
+        // With a model drawn from the seed base, case 3 (corrupt-byte) of
+        // base 2 replays as a full recovery instead of a clean error.
+        let base = 2;
+        let arms = |r: &CampaignReport| {
+            let counts: Vec<u64> = r.counts.iter().map(|c| c.1).collect();
+            (
+                r.full_recoveries,
+                r.partial_recoveries,
+                r.clean_errors,
+                counts,
+            )
+        };
+        let minus = |a: (u64, u64, u64, Vec<u64>), b: (u64, u64, u64, Vec<u64>)| {
+            let counts: Vec<u64> = a.3.iter().zip(&b.3).map(|(x, y)| x - y).collect();
+            (a.0 - b.0, a.1 - b.1, a.2 - b.2, counts)
+        };
+        for k in [1u64, 3, 5] {
+            // Case k of the full run: the first k+1 cases minus the first k.
+            let case_k = minus(
+                arms(&run_campaign::<Serve>(base, k + 1, None)),
+                arms(&run_campaign::<Serve>(base, k, None)),
+            );
+            let class = (k % Serve::CLASSES.len() as u64) as usize;
+            let replay = run_campaign::<Serve>(crate::case_seed(base, k), 1, Some(class));
+            assert!(replay.clean(), "{:#?}", replay.violations);
+            assert_eq!(arms(&replay), case_k, "case {k}");
+        }
+    }
+
+    #[test]
     fn cases_are_deterministic_in_the_seed() {
-        let serve = Serve::start(0xC4A0_5002).unwrap();
+        let serve = Serve::start().unwrap();
         let a = serve.run_case(ChaosClass::CorruptByte, 0xFEED).unwrap();
         let b = serve.run_case(ChaosClass::CorruptByte, 0xFEED).unwrap();
         assert_eq!(a, b);

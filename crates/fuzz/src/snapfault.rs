@@ -29,7 +29,7 @@ impl FaultCampaign for Snapshot {
         class.name()
     }
 
-    fn start(_seed_base: u64) -> Result<Snapshot, String> {
+    fn start() -> Result<Snapshot, String> {
         Ok(Snapshot)
     }
 

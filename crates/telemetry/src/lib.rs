@@ -26,7 +26,7 @@
 //!   every registered instrument into a [`Report`] (optionally as a
 //!   delta against a captured baseline, for per-repetition attribution
 //!   in the bench harness), convertible to JSON for
-//!   `sgtool --metrics-json` and the `BENCH_*.json` trajectory;
+//!   `sgtool --metrics-json` and the figure records' `telemetry` section;
 //! - [`provenance`] — a run-provenance JSON record (git SHA, UTC
 //!   timestamp, thread count, features, host machine model) embedded in
 //!   every figure output and metrics report.

@@ -1,10 +1,10 @@
 //! Run provenance: who produced this measurement, on what, when.
 //!
-//! Every `results/*.json` figure record, `BENCH_*.json` trajectory
-//! entry, and `sgtool --metrics-json` report embeds this block so a
-//! number can always be traced back to the commit, host, and thread
-//! count that produced it — without it, a regression in the trajectory
-//! is indistinguishable from a hardware change.
+//! Every `results/*.json` figure record and `sgtool --metrics-json`
+//! report embeds this block so a number can always be traced back to the
+//! commit, host, and thread count that produced it — without it, a
+//! regression is indistinguishable from a hardware change. `sgtool gate`
+//! derives its machine class from `arch` and `machine`.
 
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -857,80 +857,143 @@ fn combine_run_cross_validates_and_verify_reads_the_manifest() {
     std::fs::remove_file(&json).ok();
 }
 
-/// Write a BENCH trajectory file with `n` runs of the given p50s, in the
-/// exact shape `sg_bench::trajectory::record_run` produces.
-fn write_trajectory(dir: &std::path::Path, name: &str, p50s: &[f64]) {
-    std::fs::create_dir_all(dir).unwrap();
-    let runs: Vec<String> = p50s
-        .iter()
-        .enumerate()
-        .map(|(i, p50)| {
-            format!(
-                r#"{{"provenance": {{"timestamp_utc": "2026-08-08T00:{i:02}:00Z",
-                     "threads": 4, "git_sha": "test"}},
-                    "metrics": {{"d5/compact/hierarchize_s":
-                      {{"count": 5, "p50_s": {p50}, "p90_s": {p50}, "p99_s": {p50},
-                        "min_s": {p50}, "max_s": {p50}}}}}}}"#
-            )
-        })
-        .collect();
-    std::fs::write(
-        dir.join(format!("BENCH_{name}.json")),
+/// The two lines perfbench prints for one compress run, as the gate
+/// reads them.
+fn perfbench_run(setup_s: f64, pts_per_s: f64, unit: &str, correct: bool) -> String {
+    let key = r#"{"d":10,"level":7,"grid_points":397825,"points_per_op":397825,"workload":"compress","kernel":"avx2","threads":2,"telemetry":true}"#;
+    let metric = |name: &str, value: f64, unit: &str, better: &str| {
         format!(
-            "{{\"experiment\": \"{name}\", \"runs\": [{}]}}\n",
-            runs.join(",")
-        ),
+            r#"{{"name":"{name}","value":{value},"unit":"{unit}","better":"{better}","samples":3,"key":{key}}}"#
+        )
+    };
+    let metrics = [
+        metric("setup_s", setup_s, unit, "lower"),
+        metric("peak_rss_mb", 24.0, "MiB", "lower"),
+        metric("pts_per_s", pts_per_s, "points/s", "higher"),
+    ]
+    .join(",");
+    format!(
+        "{{\"report\":{{\"seed\":1,\"seconds\":1,\"trace\":false,\"key\":{key},\"metrics\":[{metrics}]}}}}\n\
+         {{\"correct\":{correct},\"attempted\":12,\"failed\":{}}}\n",
+        u8::from(!correct)
+    )
+}
+
+/// A fixture repository root for `sgtool gate`: a copy of
+/// `BENCHMARK.json` and a five-run baseline for this machine class.
+fn gate_fixture(name: &str) -> PathBuf {
+    let dir = temp_path(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    let baseline_dir = dir.join("crates/bench/baseline");
+    std::fs::create_dir_all(&baseline_dir).unwrap();
+    std::fs::copy(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCHMARK.json"),
+        dir.join("BENCHMARK.json"),
     )
     .unwrap();
+    let baseline: String = [
+        (0.30, 10.9e6),
+        (0.32, 10.6e6),
+        (0.29, 11.0e6),
+        (0.31, 10.8e6),
+        (0.30, 11.2e6),
+    ]
+    .iter()
+    .map(|&(s, p)| perfbench_run(s, p, "s", true))
+    .collect();
+    let class = sg_bench::gate::machine_class();
+    std::fs::write(baseline_dir.join(format!("{class}.jsonl")), baseline).unwrap();
+    dir
+}
+
+fn sgtool_in(dir: &std::path::Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_sgtool"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("failed to run sgtool")
 }
 
 #[test]
 fn gate_passes_clean_catches_regression_and_honors_baseline_override() {
-    let dir = temp_path("gate-results");
-    let results = dir.to_str().unwrap();
+    let dir = gate_fixture("gate-verdicts");
+    let run = |name: &str, text: String| {
+        std::fs::write(dir.join(name), text).unwrap();
+        name.to_string()
+    };
 
-    // Eight statistically-quiet runs: within the band, exit 0.
-    let clean: Vec<f64> = (0..8).map(|i| 1.0e-3 + (i % 3) as f64 * 1.0e-6).collect();
-    write_trajectory(&dir, "fig9", &clean);
-    let o = sgtool(&["gate", "fig9", "--results", results]);
+    // A clean run against the default class baseline: exit 0.
+    let clean = run("clean.out", perfbench_run(0.31, 10.7e6, "s", true));
+    let o = sgtool_in(&dir, &["gate", &clean]);
     assert!(o.status.success(), "{}", stderr(&o));
-    assert!(stdout(&o).contains("perf gate passed"), "{}", stdout(&o));
-
-    // A 10x-slower newest run breaches the band: exit 1 with a one-line
-    // REGRESSION diagnosis naming the metric.
-    let mut regressed = clean.clone();
-    regressed.push(1.0e-2);
-    write_trajectory(&dir, "fig9", &regressed);
-    let json = dir.join("gate.json");
-    let o = sgtool(&[
-        "gate",
-        "fig9",
-        "--results",
-        results,
-        "--json",
-        json.to_str().unwrap(),
-    ]);
-    assert_eq!(exit_code(&o), 1);
     assert!(
-        stdout(&o).contains("REGRESSION d5/compact/hierarchize_s"),
+        stdout(&o).contains("ok         compress/pts_per_s"),
+        "{}",
+        stdout(&o)
+    );
+    assert!(
+        stdout(&o).contains("perf gate passed: 3 metric(s)"),
+        "{}",
+        stdout(&o)
+    );
+
+    // pts_per_s / 10: exit 1 with a one-line REGRESSION diagnosis naming
+    // the metric, one stderr line, and the factor in the JSON report.
+    let slow = run("slow.out", perfbench_run(0.30, 1.09e6, "s", true));
+    let o = sgtool_in(&dir, &["gate", &slow, "--json", "gate.json"]);
+    assert_eq!(exit_code(&o), 1, "{}", stderr(&o));
+    assert!(
+        stdout(&o).contains("REGRESSION compress/pts_per_s"),
         "{}",
         stdout(&o)
     );
     assert_eq!(stderr(&o).lines().count(), 1, "{}", stderr(&o));
     assert!(stderr(&o).contains("perf gate failed"), "{}", stderr(&o));
-    let doc = sg_json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
+    let doc = sg_json::parse(&std::fs::read_to_string(dir.join("gate.json")).unwrap()).unwrap();
     assert_eq!(doc["passed"], false);
-    let exps = doc["experiments"].as_array().unwrap();
-    assert_eq!(exps.len(), 1);
+    let metrics = doc["metrics"].as_array().unwrap();
+    let verdicts: Vec<&str> = metrics
+        .iter()
+        .map(|m| m["verdict"].as_str().unwrap())
+        .collect();
+    assert_eq!(verdicts, ["ok", "ok", "regressed"]);
+    assert!(metrics[2]["factor"].as_f64().unwrap() > 9.0);
 
-    // SG_GATE_BASELINE acknowledges the shift: reported but exit 0.
-    let o = sgtool_env(
-        &["gate", "fig9", "--results", results],
-        &[("SG_GATE_BASELINE", "1")],
+    // pts_per_s x 10 is better, not worse: exit 0.
+    let fast = run("fast.out", perfbench_run(0.30, 109.0e6, "s", true));
+    assert_eq!(exit_code(&sgtool_in(&dir, &["gate", &fast])), 0);
+
+    // A run that failed its own checks: exit 1, every metric incorrect_run.
+    let wrong = run("wrong.out", perfbench_run(0.30, 10.9e6, "s", false));
+    let o = sgtool_in(&dir, &["gate", &wrong]);
+    assert_eq!(exit_code(&o), 1);
+    assert_eq!(
+        stdout(&o).matches("INCORRECT_RUN compress/").count(),
+        3,
+        "{}",
+        stdout(&o)
     );
-    assert!(o.status.success(), "{}", stderr(&o));
+
+    // --baseline overrides the class default: against a ten-times-faster
+    // baseline the clean run regresses; against an empty one it has no
+    // baseline and passes.
+    let faster: String = (0..3)
+        .map(|_| perfbench_run(0.03, 109.0e6, "s", true))
+        .collect();
+    let faster = run("faster.jsonl", faster);
+    let o = sgtool_in(&dir, &["gate", "--baseline", &faster, &clean]);
+    assert_eq!(exit_code(&o), 1, "{}", stdout(&o));
     assert!(
-        stdout(&o).contains("SG_GATE_BASELINE set"),
+        stdout(&o).contains("REGRESSION compress/setup_s"),
+        "{}",
+        stdout(&o)
+    );
+    let empty = run("empty.jsonl", String::new());
+    let o = sgtool_in(&dir, &["gate", "--baseline", &empty, &clean]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert_eq!(
+        stdout(&o).matches("no_baseline compress/").count(),
+        3,
         "{}",
         stdout(&o)
     );
@@ -940,26 +1003,103 @@ fn gate_passes_clean_catches_regression_and_honors_baseline_override() {
 
 #[test]
 fn gate_short_history_passes_and_bad_inputs_use_pinned_exit_codes() {
-    let dir = temp_path("gate-short");
-    let results = dir.to_str().unwrap();
+    let dir = gate_fixture("gate-codes");
+    std::fs::write(
+        dir.join("clean.out"),
+        perfbench_run(0.31, 10.7e6, "s", true),
+    )
+    .unwrap();
 
-    // Under min-runs the gate must not engage, even on a wild newest run.
-    write_trajectory(&dir, "young", &[1.0e-3, 1.0e-3, 5.0]);
-    let o = sgtool(&["gate", "young", "--results", results]);
+    // No baseline file for this machine class: every metric reads
+    // no_baseline and the gate passes (0).
+    let class = sg_bench::gate::machine_class();
+    let class_file = dir.join(format!("crates/bench/baseline/{class}.jsonl"));
+    let saved = std::fs::read_to_string(&class_file).unwrap();
+    std::fs::remove_file(&class_file).unwrap();
+    let o = sgtool_in(&dir, &["gate", "clean.out"]);
     assert!(o.status.success(), "{}", stderr(&o));
-    assert!(stdout(&o).contains("skip"), "{}", stdout(&o));
-
-    // No experiment names: usage (2). Missing file: I/O (4). A
-    // trajectory that is not valid JSON: corrupt data (3).
-    assert_eq!(exit_code(&sgtool(&["gate"])), 2);
     assert_eq!(
-        exit_code(&sgtool(&["gate", "absent", "--results", results])),
-        4
+        stdout(&o).matches("no_baseline compress/").count(),
+        3,
+        "{}",
+        stdout(&o)
     );
-    std::fs::write(dir.join("BENCH_mangled.json"), "{\"runs\": [tru").unwrap();
-    let o = sgtool(&["gate", "mangled", "--results", results]);
-    assert_eq!(exit_code(&o), 3);
-    assert_eq!(stderr(&o).lines().count(), 1, "{}", stderr(&o));
+    // A short history, one recorded run: the BENCHMARK.json bounds set
+    // the band, and a clean run within them passes (0).
+    std::fs::write(&class_file, perfbench_run(0.30, 10.9e6, "s", true)).unwrap();
+    let o = sgtool_in(&dir, &["gate", "clean.out"]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert!(
+        stdout(&o).contains("perf gate passed: 3 metric(s)"),
+        "{}",
+        stdout(&o)
+    );
+    std::fs::write(&class_file, saved).unwrap();
+
+    let bad = |name: &str, text: &str| {
+        std::fs::write(dir.join(name), text).unwrap();
+        name.to_string()
+    };
+    let swapped = bad("unit.out", &perfbench_run(0.31, 10.7e6, "ms", true));
+    let garbled = bad(
+        "garbled.out",
+        &perfbench_run(0.31, 10.7e6, "s", true)[..200],
+    );
+    let orphan = bad(
+        "orphan.out",
+        "{\"correct\":true,\"attempted\":1,\"failed\":0}\n",
+    );
+    let nothing = bad("nothing.out", "   Compiling perfbench\n");
+    let cases: [(&[&str], i32, &str); 9] = [
+        // Usage (2): no files; a removed knob.
+        (&["gate"], 2, "missing perfbench output"),
+        (
+            &["gate", "clean.out", "--window", "5"],
+            2,
+            "bad gate flag --window",
+        ),
+        // Malformed input or a mismatch (3).
+        (&["gate", &swapped], 3, "unit or direction"),
+        (&["gate", &garbled], 3, "bad report garbled.out"),
+        (&["gate", &orphan], 3, "result line without a report line"),
+        (&["gate", &nothing], 3, "no perfbench report"),
+        (
+            &["gate", "--baseline", &garbled, "clean.out"],
+            3,
+            "bad baseline garbled.out",
+        ),
+        // I/O (4): a missing report, a missing explicit baseline.
+        (&["gate", "absent.out"], 4, "cannot read absent.out"),
+        (
+            &["gate", "--baseline", "absent.jsonl", "clean.out"],
+            4,
+            "cannot read absent.jsonl",
+        ),
+    ];
+    for (args, code, diagnosis) in cases {
+        let o = sgtool_in(&dir, args);
+        assert_eq!(exit_code(&o), code, "{args:?}: {}", stderr(&o));
+        assert_eq!(stderr(&o).lines().count(), 1, "{args:?}: {}", stderr(&o));
+        assert!(stderr(&o).contains(diagnosis), "{args:?}: {}", stderr(&o));
+    }
+    // The swapped unit is named on stdout and never compared.
+    let o = sgtool_in(&dir, &["gate", &swapped]);
+    assert!(
+        stdout(&o).contains("UNIT_MISMATCH compress/setup_s"),
+        "{}",
+        stdout(&o)
+    );
+
+    // Without BENCHMARK.json in the current directory there is nothing
+    // to gate against (4).
+    std::fs::remove_file(dir.join("BENCHMARK.json")).unwrap();
+    let o = sgtool_in(&dir, &["gate", "clean.out"]);
+    assert_eq!(exit_code(&o), 4);
+    assert!(
+        stderr(&o).contains("cannot read BENCHMARK.json"),
+        "{}",
+        stderr(&o)
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
