@@ -352,3 +352,190 @@ fn sgc2_single_bit_flips_are_never_silent() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Golden bytes
+// ---------------------------------------------------------------------------
+//
+// Files under `tests/golden/` were written by the codecs and are
+// committed: re-encoding the same grids must give exactly those bytes,
+// and decoding them must give bitwise-equal values and the same section
+// reports. The grids come from arithmetic alone (no libm calls), so the
+// bytes do not depend on the platform. To regenerate a file after a
+// deliberate format change, write the output of the matching
+// `golden_*` builder below to its path.
+
+use sg_io::manifest::{recover_component_set, verify_component_set, write_component_set};
+use sg_io::{ComponentMeta, MemorySink, SectionReport};
+
+const GOLDEN_F64_D2_L3: &[u8] = include_bytes!("golden/snapshot_f64_d2_l3.sgcs");
+const GOLDEN_F32_D3_L4: &[u8] = include_bytes!("golden/snapshot_f32_d3_l4.sgcs");
+const GOLDEN_SGC1_F64_D3_L4: &[u8] = include_bytes!("golden/legacy_f64_d3_l4.sgc");
+const GOLDEN_MANIFEST: &[u8] = include_bytes!("golden/manifest_d2_3c.sgcm");
+const GOLDEN_MANIFEST_TOMBSTONE: &[u8] = include_bytes!("golden/manifest_d2_3c_tombstone.sgcm");
+
+/// Provenance stamps the golden snapshots and manifests carry.
+const GOLDEN_PROV_F64: &str = "golden sgc2 f64 d=2 L=3";
+const GOLDEN_PROV_F32: &str = "golden sgc2 f32 d=3 L=4";
+const GOLDEN_PROV_MANIFEST: &str = "golden sgcm d=2 3 components";
+
+/// Hierarchized parabola plus a linear tilt: arithmetic only.
+fn golden_grid<T: sg_core::real::Real>(d: usize, levels: usize) -> CompactGrid<T> {
+    let mut g = CompactGrid::from_fn(GridSpec::new(d, levels), |x| {
+        T::from_f64(TestFunction::Parabola.eval(x) + x[0] / 3.0)
+    });
+    sg_core::hierarchize::hierarchize(&mut g);
+    g
+}
+
+/// Three d = 2 components with distinct coefficients and level vectors.
+fn golden_components() -> Vec<(ComponentMeta, Vec<f64>)> {
+    [(1i64, vec![2u8, 0]), (1, vec![1, 1]), (-1, vec![1, 0])]
+        .into_iter()
+        .map(|(coefficient, levels)| {
+            let meta = ComponentMeta {
+                coefficient,
+                levels,
+                max_abs: 0.0,
+            };
+            let n = meta.num_values().unwrap() as usize;
+            let values: Vec<f64> = (0..n)
+                .map(|k| (k as f64 + 0.5) * coefficient as f64 / 7.0)
+                .collect();
+            let max_abs = values.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+            (ComponentMeta { max_abs, ..meta }, values)
+        })
+        .collect()
+}
+
+/// The golden manifest, with component `tombstone` (if any) dropped
+/// before commit.
+fn golden_manifest(tombstone: Option<usize>) -> Vec<u8> {
+    let set = golden_components();
+    let borrowed: Vec<(ComponentMeta, Option<&[f64]>)> = set
+        .iter()
+        .enumerate()
+        .map(|(k, (m, v))| (m.clone(), (Some(k) != tombstone).then_some(v.as_slice())))
+        .collect();
+    let mut sink = MemorySink::new();
+    write_component_set(2, &borrowed, &mut sink, GOLDEN_PROV_MANIFEST).unwrap();
+    sink.into_published().unwrap()
+}
+
+fn reports(rows: &[(usize, SectionStatus, u64, usize)]) -> Vec<SectionReport> {
+    rows.iter()
+        .map(|&(group, status, points, offset)| SectionReport {
+            group,
+            status,
+            points,
+            offset,
+        })
+        .collect()
+}
+
+fn bits<T: sg_core::real::Real>(values: &[T]) -> Vec<u64> {
+    values.iter().map(|v| v.to_f64().to_bits()).collect()
+}
+
+#[test]
+fn golden_files_are_reproduced_byte_for_byte() {
+    assert_eq!(
+        sg_io::encode_snapshot(&golden_grid::<f64>(2, 3), GOLDEN_PROV_F64),
+        GOLDEN_F64_D2_L3
+    );
+    assert_eq!(
+        sg_io::encode_snapshot(&golden_grid::<f32>(3, 4), GOLDEN_PROV_F32),
+        GOLDEN_F32_D3_L4
+    );
+    assert_eq!(
+        sg_io::encode(&golden_grid::<f64>(3, 4)),
+        GOLDEN_SGC1_F64_D3_L4
+    );
+    assert_eq!(golden_manifest(None), GOLDEN_MANIFEST);
+    assert_eq!(golden_manifest(Some(1)), GOLDEN_MANIFEST_TOMBSTONE);
+}
+
+#[test]
+fn golden_snapshots_decode_bitwise_with_pinned_reports() {
+    use SectionStatus::Intact;
+    // Header: 32 fixed bytes + provenance + 8 CRC bytes; section n:
+    // 16 framing bytes + payload + 8 CRC bytes.
+    let f64_rows = reports(&[(0, Intact, 1, 63), (1, Intact, 4, 95), (2, Intact, 12, 151)]);
+    let f32_rows = reports(&[
+        (0, Intact, 1, 63),
+        (1, Intact, 6, 91),
+        (2, Intact, 24, 139),
+        (3, Intact, 80, 259),
+    ]);
+
+    let r = sg_io::recover_snapshot::<f64>(GOLDEN_F64_D2_L3).unwrap();
+    assert!(r.grid.is_complete() && !r.used_footer);
+    assert_eq!(r.info.provenance, GOLDEN_PROV_F64);
+    assert_eq!(
+        bits(r.grid.grid().values()),
+        bits(golden_grid::<f64>(2, 3).values())
+    );
+    assert_eq!(r.sections, f64_rows);
+    let (info, sections, used_footer) = sg_io::verify_snapshot(GOLDEN_F64_D2_L3).unwrap();
+    assert_eq!((info, sections, used_footer), (r.info, f64_rows, false));
+    assert_eq!(
+        sg_io::section_boundaries(GOLDEN_F64_D2_L3).unwrap(),
+        vec![63, 95, 151, 271, GOLDEN_F64_D2_L3.len()]
+    );
+
+    let r = sg_io::recover_snapshot::<f32>(GOLDEN_F32_D3_L4).unwrap();
+    assert!(r.grid.is_complete() && !r.used_footer);
+    assert_eq!(r.info.provenance, GOLDEN_PROV_F32);
+    assert_eq!(
+        bits(r.grid.grid().values()),
+        bits(golden_grid::<f32>(3, 4).values())
+    );
+    assert_eq!(r.sections, f32_rows);
+    let (info, sections, used_footer) = sg_io::verify_snapshot(GOLDEN_F32_D3_L4).unwrap();
+    assert_eq!((info, sections, used_footer), (r.info, f32_rows, false));
+
+    let back = sg_io::decode::<f64>(GOLDEN_SGC1_F64_D3_L4).unwrap();
+    assert_eq!(bits(back.values()), bits(golden_grid::<f64>(3, 4).values()));
+}
+
+#[test]
+fn golden_manifests_decode_bitwise_with_pinned_reports() {
+    use SectionStatus::{ChecksumMismatch, Intact};
+    let set = golden_components();
+    for (bytes, tombstone) in [
+        (GOLDEN_MANIFEST, None),
+        (GOLDEN_MANIFEST_TOMBSTONE, Some(1)),
+    ] {
+        let rows = reports(&[
+            (0, Intact, 7, 114),
+            (
+                1,
+                if tombstone.is_some() {
+                    ChecksumMismatch
+                } else {
+                    Intact
+                },
+                9,
+                194,
+            ),
+            (2, Intact, 3, 290),
+        ]);
+        let r = recover_component_set::<f64>(bytes).unwrap();
+        assert!(!r.used_footer);
+        assert_eq!(r.info.provenance, GOLDEN_PROV_MANIFEST);
+        assert_eq!(r.sections, rows);
+        for (k, (meta, values)) in set.iter().enumerate() {
+            assert_eq!(&r.info.components[k], meta);
+            match &r.payloads[k] {
+                Some(got) => assert_eq!(bits(got), bits(values)),
+                None => assert_eq!(Some(k), tombstone),
+            }
+        }
+        let (info, sections, used_footer) = verify_component_set(bytes).unwrap();
+        assert_eq!((info, sections, used_footer), (r.info, rows, false));
+        assert_eq!(
+            sg_io::component_boundaries(bytes).unwrap(),
+            vec![114, 194, 290, 338, bytes.len()]
+        );
+    }
+}
