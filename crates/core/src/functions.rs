@@ -82,11 +82,14 @@ impl TestFunction {
     }
 }
 
+/// Most dimensions [`halton_points`] covers (one prime base each).
+pub const HALTON_MAX_DIMS: usize = 32;
+
 /// Deterministic quasi-random points in `[0,1]^d` (Halton-style radical
 /// inverse), flat row-major — the evaluation workload of the paper
 /// (§5.3: "the number of interpolation points is typically around 10⁵").
 pub fn halton_points(d: usize, count: usize) -> Vec<f64> {
-    const PRIMES: [u64; 32] = [
+    const PRIMES: [u64; HALTON_MAX_DIMS] = [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
         97, 101, 103, 107, 109, 113, 127, 131,
     ];

@@ -549,6 +549,61 @@ fn exit_codes_are_pinned() {
     std::fs::remove_file(&file).ok();
 }
 
+/// `profile`, `flight` and `divergence` parse shape, function and
+/// numeric flags through the same checked path as `compress`: every bad
+/// input is a usage error (exit 2) with a one-line diagnostic, never a
+/// panic or a generic failure.
+#[test]
+fn workload_commands_map_bad_input_to_usage_errors() {
+    let out = temp_path("bad-workload.json");
+    let out = out.to_str().unwrap();
+    let rows: &[(&str, &[&str], &str)] = &[
+        ("profile", &["--dims", "abc"], "bad --dims"),
+        ("flight", &["--dims", "abc"], "bad --dims"),
+        ("divergence", &["--dims", "abc"], "bad --dims"),
+        ("profile", &["--function", "nope"], "unknown function"),
+        ("flight", &["--function", "nope"], "unknown function"),
+        ("divergence", &["--function", "nope"], "unknown function"),
+        (
+            "profile",
+            &["--dims", "60", "--level", "31"],
+            "grid too large",
+        ),
+        (
+            "flight",
+            &["--dims", "60", "--level", "31"],
+            "grid too large",
+        ),
+        (
+            "divergence",
+            &["--dims", "60", "--level", "31"],
+            "grid too large",
+        ),
+        ("flight", &["--dims", "33", "--level", "1"], "Halton"),
+        ("divergence", &["--dims", "33", "--level", "1"], "Halton"),
+        ("profile", &["--points", "-1"], "bad --points"),
+        ("flight", &["--interval-ms", "soon"], "bad --interval-ms"),
+        ("divergence", &["--top", "1.5"], "bad --top"),
+    ];
+    for (cmd, flags, expect) in rows {
+        let mut args = vec![*cmd, "--out", out];
+        args.extend_from_slice(flags);
+        let o = sgtool(&args);
+        let err = stderr(&o);
+        assert_eq!(exit_code(&o), 2, "{args:?}: {err}");
+        assert_eq!(
+            err.lines().count(),
+            1,
+            "{args:?}: one-line diagnostic, got: {err}"
+        );
+        assert!(
+            err.starts_with("sgtool: ") && err.contains(expect),
+            "{args:?}: {err}"
+        );
+    }
+    assert!(!std::path::Path::new(out).exists(), "no output on failure");
+}
+
 #[test]
 fn checkpoint_restore_verify_flow() {
     let snap = temp_path("flow.sgcs");
