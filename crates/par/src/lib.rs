@@ -629,7 +629,7 @@ mod tests {
 
     #[test]
     fn nested_regions_run_inline_and_stay_correct() {
-        // sg-sim nests par_chunks_mut inside par_map; the inner region
+        // sg-apps' simulator nests par_chunks_mut inside par_map; the inner region
         // must not wait on the pool the outer region occupies.
         let out = par_map_indexed(8, |outer| {
             let mut inner: Vec<u64> = vec![0; 257];

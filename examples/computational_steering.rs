@@ -10,8 +10,8 @@
 //!
 //! Run with: `cargo run --release -p sg-apps --example computational_steering`
 
+use sg_apps::sim::{HeatSolver, SweepDataset};
 use sg_core::boundary::BoundaryGrid;
-use sg_sim::{HeatSolver, SweepDataset};
 use std::f64::consts::PI;
 use std::time::Instant;
 
